@@ -7,7 +7,7 @@
 
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build vet lint test test-race vuln
+.PHONY: all build vet lint test test-race bench-smoke vuln
 
 all: build lint test
 
@@ -28,6 +28,12 @@ test:
 
 test-race:
 	go test -race ./...
+
+# perfbench/ is its own module, so the targets above never compile it.
+# Vet it and run its smoke test: every workload at tiny sizes, untraced
+# and traced (~35 s on 2 vCPUs).
+bench-smoke:
+	cd perfbench && go vet ./... && go test ./...
 
 # Needs network access to fetch the pinned scanner.
 vuln:

@@ -4,8 +4,8 @@ package distflow
 // DESIGN.md §3 for the claim each reproduces) plus micro-benchmarks of
 // the hot operations. The experiment benchmarks regenerate their table
 // at Quick scale per iteration and surface the headline measurement via
-// b.ReportMetric; `go run ./cmd/bench` prints the same tables at full
-// scale for EXPERIMENTS.md.
+// b.ReportMetric; `go run ./cmd/bench [-exp eN] [-quick]` prints the
+// same tables (at full scale without -quick).
 
 import (
 	"math/rand"

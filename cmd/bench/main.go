@@ -1,6 +1,6 @@
-// Command bench regenerates the experiment tables of EXPERIMENTS.md:
-// one table per reproduced claim of the paper (DESIGN.md §3 maps claims
-// to experiments).
+// Command bench prints the experiment tables: one table per reproduced
+// claim of the paper (DESIGN.md §3 maps claims to experiments),
+// regenerated on every run.
 //
 // Usage:
 //

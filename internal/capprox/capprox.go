@@ -806,14 +806,7 @@ func (a *Approximator) ApplyRInto(b []float64, out [][]float64) [][]float64 {
 	}
 	par.Do(len(a.Trees), func(k int) {
 		t := a.Trees[k]
-		y := t.SubtreeSumsInto(b, out[k])
-		for v := 0; v < t.N(); v++ {
-			if v == t.Root || a.Scale[k][v] == 0 {
-				y[v] = 0
-				continue
-			}
-			y[v] /= a.Scale[k][v]
-		}
+		RowScale(t.SubtreeSumsInto(b, out[k]), a.Scale[k], t.Root, 1, 0, t.N())
 	})
 	return out
 }
@@ -847,25 +840,10 @@ func (a *Approximator) ApplyRTInto(p [][]float64, out []float64, scratch [][]flo
 	}
 	par.Do(len(a.Trees), func(k int) {
 		t := a.Trees[k]
-		buf := scratch[k]
-		for v := 0; v < t.N(); v++ {
-			if v == t.Root || a.Scale[k][v] == 0 {
-				buf[v] = 0
-				continue
-			}
-			buf[v] = p[k][v] / a.Scale[k][v]
-		}
-		t.RootPathSumsInto(buf, buf)
+		RowPrep(scratch[k], p[k], a.Scale[k], t.Root, 1, 0, t.N())
+		t.RootPathSumsInto(scratch[k], scratch[k])
 	})
-	par.For(len(out), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s := 0.0
-			for k := range scratch {
-				s += scratch[k][v]
-			}
-			out[v] = s
-		}
-	})
+	par.For(len(out), func(lo, hi int) { SumTrees(out, scratch, lo, hi) })
 	return out
 }
 
@@ -880,10 +858,11 @@ type EvalScratch struct {
 	// PT holds the per-tree root-path sweeps of Rᵀ (len Trees, each
 	// len N).
 	PT [][]float64
-	// tm and ts are per-tree partial maxima and exponential sums,
-	// combined in tree order so the reduction is worker-count
-	// independent.
-	tm, ts []float64
+	// tm holds the per-tree maxima and parts the per-(tree, chunk)
+	// exponential sums, folded in a fixed order so the reductions are
+	// worker-count independent; chunks is the chunk count of par.Grid(N).
+	tm, parts []float64
+	chunks    int
 }
 
 // NewEvalScratch allocates an EvalScratch sized for the approximator.
@@ -892,11 +871,14 @@ func (a *Approximator) NewEvalScratch() *EvalScratch {
 		Sub: make([][]float64, len(a.Trees)),
 		PT:  make([][]float64, len(a.Trees)),
 		tm:  make([]float64, len(a.Trees)),
-		ts:  make([]float64, len(a.Trees)),
 	}
 	for k, t := range a.Trees {
 		s.Sub[k] = make([]float64, t.N())
 		s.PT[k] = make([]float64, t.N())
+	}
+	if len(a.Trees) > 0 {
+		_, s.chunks = par.Grid(a.Trees[0].N())
+		s.parts = make([]float64, len(a.Trees)*s.chunks)
 	}
 	return s
 }
@@ -907,20 +889,23 @@ func (a *Approximator) NewEvalScratch() *EvalScratch {
 // non-root (tree, vertex) slot and writes the node potentials
 // π = Rᵀ·∇smax(y) into pi (len N).
 //
-// This is the fusion of ApplyRInto → SoftMaxGradPar → ApplyRTInto: the
-// 2α scaling and the 1/Scale row scalings are folded into the tree
-// sweeps, the soft-max works per tree instead of over a flat scatter
-// index, and the gradient numerators overwrite the subtree aggregates
-// in place — three full passes over K·N temporaries (and both scatter
-// copies) disappear from every gradient iteration.
+// This fuses ApplyRInto, a soft-max gradient over every row, and
+// ApplyRTInto into the R-row kernels below — RowScale, RowExp, RowPrep,
+// then SumTrees after the top-down sweeps: the 2α scaling and the
+// 1/Scale row scalings are folded into the tree sweeps, the soft-max
+// works per tree instead of over a flat scatter index, and the gradient
+// numerators overwrite the subtree aggregates in place — three full
+// passes over K·N temporaries (and both scatter copies) disappear from
+// every gradient iteration. internal/shard runs the same kernels on
+// each shard's vertices.
 //
-// Determinism: per-tree partial maxima and sums are combined in tree
-// order on the calling goroutine, and the final accumulation over
-// trees is chunk-parallel over vertices in fixed tree order, so the
-// result is a pure function of (r, ta) at every worker count. The
-// summation order differs from the flat-index SoftMaxGradPar
-// composition in the last ulps; tests compare against the unfused
-// reference with a tolerance.
+// Determinism: per-tree maxima and per-(tree, chunk) exponential sums
+// are folded in a fixed order on the calling goroutine (FoldExpSums),
+// and the final accumulation over trees is chunk-parallel over vertices
+// in fixed tree order, so the result is a pure function of (r, ta) at
+// every worker count. The summation order differs in the last ulps from
+// the unfused ApplyR → numutil.SoftMaxGrad → ApplyRT composition, which
+// tests compare against with a tolerance.
 func (a *Approximator) PotentialRT(r []float64, ta float64, s *EvalScratch, pi []float64) float64 {
 	if len(s.Sub) != len(a.Trees) || len(s.PT) != len(a.Trees) {
 		panic("capprox: scratch tree count mismatch")
@@ -929,20 +914,7 @@ func (a *Approximator) PotentialRT(r []float64, ta float64, s *EvalScratch, pi [
 	// tracking the per-tree max |y| for the shifted exponentials.
 	par.Do(len(a.Trees), func(k int) {
 		t := a.Trees[k]
-		y := t.SubtreeSumsInto(r, s.Sub[k])
-		scale := a.Scale[k]
-		m := 0.0
-		for v := 0; v < t.N(); v++ {
-			if v == t.Root || scale[v] == 0 {
-				y[v] = 0
-				continue
-			}
-			y[v] = ta * y[v] / scale[v]
-			if ay := math.Abs(y[v]); ay > m {
-				m = ay
-			}
-		}
-		s.tm[k] = m
+		s.tm[k] = RowScale(t.SubtreeSumsInto(r, s.Sub[k]), a.Scale[k], t.Root, ta, 0, t.N())
 	})
 	m := 0.0
 	for _, v := range s.tm {
@@ -950,88 +922,140 @@ func (a *Approximator) PotentialRT(r []float64, ta float64, s *EvalScratch, pi [
 			m = v
 		}
 	}
-	// Pass 2: shifted exponential sums per tree; the gradient numerators
-	// e^{y-m} − e^{-y-m} overwrite y in place. Root slots are excluded
-	// (they are not rows of R); zero-scale slots contribute like the
-	// flat index always did. The per-tree sum accumulates per chunk of
-	// the canonical par.Grid and folds the chunk partials in index
-	// order — the same expression a sharded execution produces from
-	// per-shard partials, so internal/shard reproduces this value
-	// bit-for-bit (see DESIGN.md §13).
+	// Pass 2: shifted exponential sums per chunk of the canonical
+	// par.Grid — the chunks a shard owns whole — with the gradient
+	// numerators overwriting y in place.
 	par.Do(len(a.Trees), func(k int) {
 		t := a.Trees[k]
-		y := s.Sub[k]
 		size, count := par.Grid(t.N())
-		sum := 0.0
 		for c := 0; c < count; c++ {
-			lo, hi := c*size, (c+1)*size
-			if hi > t.N() {
-				hi = t.N()
-			}
-			ps := 0.0
-			for v := lo; v < hi; v++ {
-				if v == t.Root {
-					y[v] = 0
-					continue
-				}
-				p := math.Exp(y[v] - m)
-				q := math.Exp(-y[v] - m)
-				ps += p + q
-				y[v] = p - q
-			}
-			sum += ps
+			s.parts[k*count+c] = RowExp(s.Sub[k], t.Root, m, c*size, min((c+1)*size, t.N()))
 		}
-		s.ts[k] = sum
 	})
-	sum := 0.0
-	for _, v := range s.ts {
-		sum += v
-	}
+	sum := FoldExpSums(s.parts, s.chunks)
 	inv := 1 / sum
 	// Pass 3: π = Rᵀ·∇smax — the 1/sum normalization and the row scaling
 	// fold into the top-down sweeps, then the per-vertex accumulation
 	// combines trees in fixed order.
 	par.Do(len(a.Trees), func(k int) {
 		t := a.Trees[k]
-		y := s.Sub[k]
-		scale := a.Scale[k]
-		buf := s.PT[k]
-		for v := 0; v < t.N(); v++ {
-			if v == t.Root || scale[v] == 0 {
-				buf[v] = 0
-				continue
-			}
-			buf[v] = y[v] * inv / scale[v]
-		}
-		t.RootPathSumsInto(buf, buf)
+		RowPrep(s.PT[k], s.Sub[k], a.Scale[k], t.Root, inv, 0, t.N())
+		t.RootPathSumsInto(s.PT[k], s.PT[k])
 	})
-	par.For(len(pi), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			acc := 0.0
-			for k := range s.PT {
-				acc += s.PT[k][v]
-			}
-			pi[v] = acc
-		}
-	})
+	par.For(len(pi), func(lo, hi int) { SumTrees(pi, s.PT, lo, hi) })
 	return m + math.Log(sum)
 }
 
 // NormRb returns ‖Rb‖∞ — with the default (virtual) scaling this is a
 // lower bound on the optimal congestion opt(b).
 func (a *Approximator) NormRb(b []float64) float64 {
+	sub := make([][]float64, len(a.Trees))
+	for k, t := range a.Trees {
+		sub[k] = make([]float64, t.N())
+	}
+	return a.NormRbInto(b, sub)
+}
+
+// NormRbInto is NormRb sweeping into caller-provided per-tree scratch
+// (len Trees, each len N) — typically EvalScratch.Sub between
+// evaluations, which it overwrites.
+func (a *Approximator) NormRbInto(b []float64, sub [][]float64) float64 {
+	if len(sub) != len(a.Trees) {
+		panic("capprox: scratch tree count mismatch")
+	}
+	tm := make([]float64, len(a.Trees))
+	par.Do(len(a.Trees), func(k int) {
+		t := a.Trees[k]
+		tm[k] = RowScale(t.SubtreeSumsInto(b, sub[k]), a.Scale[k], t.Root, 1, 0, t.N())
+	})
 	m := 0.0
-	for _, y := range a.ApplyR(b) {
-		for _, x := range y {
-			if x < 0 {
-				x = -x
-			}
-			if x > m {
-				m = x
-			}
+	for _, v := range tm {
+		if v > m {
+			m = v
 		}
 	}
 	return m
+}
+
+// The R-row kernels: the per-slot passes of R and Rᵀ over one vertex
+// range [lo,hi) of a tree with root root and row scaling scale. Slot
+// root and zero-scale slots are not rows of R. The flat path runs them
+// over whole trees, tree-parallel; internal/shard runs them over each
+// shard's vertex chunks and folds the partials as the flat path does.
+
+// RowScale overwrites the subtree sums y[v] over [lo,hi) with the row
+// values ta·y[v]/scale[v] (0 off the rows) and returns their largest
+// magnitude, 0 for an empty range: R's row scaling at ta = 1 (ApplyR,
+// ‖Rb‖∞) and the scaled soft-max argument and its shift at ta = 2α.
+func RowScale(y, scale []float64, root int, ta float64, lo, hi int) float64 {
+	m := 0.0
+	for v := lo; v < hi; v++ {
+		if v == root || scale[v] == 0 {
+			y[v] = 0
+			continue
+		}
+		y[v] = ta * y[v] / scale[v]
+		if ay := math.Abs(y[v]); ay > m {
+			m = ay
+		}
+	}
+	return m
+}
+
+// RowExp overwrites y[v] over [lo,hi) with the soft-max gradient
+// numerator e^{y−m} − e^{−y−m} (0 at the root) and returns the range's
+// shifted exponential sum. Zero-scale slots hold y = 0 and contribute
+// like every other non-root slot.
+func RowExp(y []float64, root int, m float64, lo, hi int) float64 {
+	s := 0.0
+	for v := lo; v < hi; v++ {
+		if v == root {
+			y[v] = 0
+			continue
+		}
+		p := math.Exp(y[v] - m)
+		q := math.Exp(-y[v] - m)
+		s += p + q
+		y[v] = p - q
+	}
+	return s
+}
+
+// FoldExpSums folds RowExp's partials, laid out tree by tree with
+// chunks partials per tree in chunk order: par.FoldSum per tree, then
+// the trees in tree order — the one expression for φ₂'s exponential
+// sum, on the flat path and at the shard coordinator.
+func FoldExpSums(parts []float64, chunks int) float64 {
+	sum := 0.0
+	for lo := 0; lo < len(parts); lo += chunks {
+		sum += par.FoldSum(parts[lo : lo+chunks])
+	}
+	return sum
+}
+
+// RowPrep writes Rᵀ's row scaling of the prices y into buf over [lo,hi):
+// buf[v] = y[v]·inv/scale[v], 0 off the rows, ready for the top-down
+// sweep (inv = 1 for ApplyRT, the soft-max's 1/sum in PotentialRT).
+func RowPrep(buf, y, scale []float64, root int, inv float64, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		if v == root || scale[v] == 0 {
+			buf[v] = 0
+			continue
+		}
+		buf[v] = y[v] * inv / scale[v]
+	}
+}
+
+// SumTrees writes pi[v] = Σ_k pt[k][v] over [lo,hi), adding the trees'
+// root-path sums in tree order: Rᵀ's final accumulation.
+func SumTrees(pi []float64, pt [][]float64, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		acc := 0.0
+		for k := range pt {
+			acc += pt[k][v]
+		}
+		pi[v] = acc
+	}
 }
 
 // EvalRounds charges one R or Rᵀ application per Corollary 9.3:

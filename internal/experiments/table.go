@@ -2,8 +2,8 @@
 // experiment per measurable claim of the paper (see DESIGN.md §3 for
 // the claim-to-experiment index). Each experiment returns a Table whose
 // rows are regenerated from scratch on every run; cmd/bench prints
-// them, bench_test.go wraps them as Go benchmarks, and EXPERIMENTS.md
-// records a reference run.
+// them (`go run ./cmd/bench [-exp eN] [-quick]`), and bench_test.go
+// wraps them as Go benchmarks.
 package experiments
 
 import (
@@ -68,7 +68,7 @@ func (t *Table) Fprint(w io.Writer) {
 }
 
 // Scale selects experiment sizes: Quick for unit/bench smoke runs, Full
-// for the EXPERIMENTS.md reference tables.
+// for the tables `go run ./cmd/bench` prints.
 type Scale int
 
 // Scales.

@@ -23,6 +23,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"distflow/internal/csr"
 	"distflow/internal/par"
@@ -459,32 +460,41 @@ func (g *Graph) Divergence(f []float64) []float64 {
 	return g.DivergenceInto(f, make([]float64, g.n))
 }
 
-// DivergenceInto computes Divergence(f) into div (len N) and returns it.
+// DivergenceInto computes Divergence(f) into div (len N) and returns it:
+// ResidualInto without a demand.
+func (g *Graph) DivergenceInto(f, div []float64) []float64 {
+	g.ResidualInto(f, nil, div, nil)
+	return div
+}
+
+// ResidualInto writes the divergence div = Divergence(f) (len N) and,
+// when r is non-nil, the residual demand r = bs − div (bs and r len N).
 // The accumulation is organized per vertex over its incidence list —
 // each entry is written by exactly one vertex, so the sweep runs
 // chunk-parallel on the shared worker pool, and the per-vertex addend
 // order is fixed by the adjacency structure regardless of worker count.
-func (g *Graph) DivergenceInto(f, div []float64) []float64 {
+func (g *Graph) ResidualInto(f, bs, div, r []float64) {
 	if len(f) != len(g.edges) {
 		panic("graph: flow length mismatch")
 	}
-	if len(div) != g.n {
+	if len(div) != g.n || r != nil && (len(r) != g.n || len(bs) != g.n) {
 		panic("graph: divergence length mismatch")
 	}
 	g.Finalize()
 	if par.Sequential(g.n) {
-		g.divergenceRange(f, div, 0, g.n)
-		return div
+		g.ResidualRange(f, bs, div, r, 0, g.n)
+		return
 	}
 	par.For(g.n, func(lo, hi int) {
-		g.divergenceRange(f, div, lo, hi)
+		g.ResidualRange(f, bs, div, r, lo, hi)
 	})
-	return div
 }
 
-// divergenceRange is the allocation-free sweep body of DivergenceInto
-// over vertices [lo,hi): base CSR arcs plus the overlay chains.
-func (g *Graph) divergenceRange(f, div []float64, lo, hi int) {
+// ResidualRange is ResidualInto's kernel over vertices [lo,hi): base
+// CSR arcs plus the overlay chains, allocation-free. It reads the graph
+// without finalizing it, so goroutines may run it concurrently on a
+// finalized graph (internal/shard runs it on each shard's vertices).
+func (g *Graph) ResidualRange(f, bs, div, r []float64, lo, hi int) {
 	off, arcs, baseN := g.off, g.arcs, g.baseN
 	for v := lo; v < hi; v++ {
 		s := 0.0
@@ -506,7 +516,41 @@ func (g *Graph) divergenceRange(f, div []float64, lo, hi int) {
 			}
 		}
 		div[v] = s
+		if r != nil {
+			r[v] = bs[v] - s
+		}
 	}
+}
+
+// GradientInto writes the edge gradient of the solver's potential,
+// grad[e] = w1[e]·invCap[e] + ta·(π[V] − π[U]) — the C⁻¹-scaled
+// soft-max gradient w1 minus ta·Bᵀπ for node potentials π (len N) — and
+// returns δ = Σ_e cap_e·|grad[e]|. w1, invCap and grad have len M. The
+// sum runs chunk-parallel on the shared worker pool in par.Sum's fixed
+// order.
+func (g *Graph) GradientInto(w1, invCap []float64, ta float64, pi, grad []float64) float64 {
+	if m := len(g.edges); len(w1) != m || len(invCap) != m || len(grad) != m {
+		panic("graph: gradient length mismatch")
+	}
+	if len(pi) != g.n {
+		panic("graph: potential length mismatch")
+	}
+	return par.Sum(len(g.edges), func(lo, hi int) float64 {
+		return g.GradientRange(w1, invCap, ta, pi, grad, lo, hi)
+	})
+}
+
+// GradientRange is GradientInto's kernel over edges [lo,hi), returning
+// the range's partial of δ.
+func (g *Graph) GradientRange(w1, invCap []float64, ta float64, pi, grad []float64, lo, hi int) float64 {
+	d := 0.0
+	for e := lo; e < hi; e++ {
+		ed := g.edges[e]
+		gr := w1[e]*invCap[e] + ta*(pi[ed.V]-pi[ed.U])
+		grad[e] = gr
+		d += float64(ed.Cap) * math.Abs(gr)
+	}
+	return d
 }
 
 // MaxCongestion returns max_e |f[e]|/cap(e), the objective of problem (1)

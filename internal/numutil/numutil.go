@@ -70,55 +70,15 @@ func SoftMaxGrad(y []float64, grad []float64) float64 {
 	return m + math.Log(sum)
 }
 
-// SoftMaxGradPar is SoftMaxGrad evaluated on the shared worker pool
-// (internal/par): the max shift, the shifted exponential sum, and the
-// gradient scaling each run chunk-parallel. The chunked summation order
-// is fixed by the input length alone, so the result is bit-identical at
-// every worker count — but it differs in the last ulps from the
-// single-sweep SoftMaxGrad, which remains the reference for tests.
-func SoftMaxGradPar(y []float64, grad []float64) float64 {
-	if len(grad) != len(y) {
-		panic("numutil: grad length mismatch")
-	}
-	if len(y) == 0 {
-		return math.Inf(-1)
-	}
-	m := par.Max(len(y), func(lo, hi int) float64 {
-		mm := 0.0
-		for i := lo; i < hi; i++ {
-			if a := math.Abs(y[i]); a > mm {
-				mm = a
-			}
-		}
-		return mm
-	})
-	sum := par.Sum(len(y), func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			p := math.Exp(y[i] - m)
-			q := math.Exp(-y[i] - m)
-			s += p + q
-			grad[i] = p - q
-		}
-		return s
-	})
-	inv := 1 / sum
-	par.For(len(y), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			grad[i] *= inv
-		}
-	})
-	return m + math.Log(sum)
-}
-
-// SoftMaxGradScaledPar is SoftMaxGradPar evaluated at the implicit
-// vector y_i = f_i·scale_i without materializing y: every chunk pass
-// reads f and scale directly, fusing the element-wise scaling into the
-// max shift, the shifted exponential sum, and the gradient scaling.
-// grad receives ∂smax/∂y (not ∂/∂f). The fusion removes one full
-// write+read pass over a len(f) temporary from the solver's hot loop;
-// the chunked reduction order is fixed by len(f) alone, so the result
-// is bit-identical at every worker count.
+// SoftMaxGradScaledPar is SoftMaxGrad evaluated on the shared worker
+// pool (internal/par) at the implicit vector y_i = f_i·scale_i, without
+// materializing y: the max shift, the shifted exponential sum, and the
+// gradient scaling each run chunk-parallel (the kernels below), reading
+// f and scale directly. grad receives ∂smax/∂y (not ∂/∂f). The chunked
+// reduction order is fixed by len(f) alone, so the result is
+// bit-identical at every worker count — but it differs in the last ulps
+// from the single-sweep SoftMaxGrad, which remains the reference for
+// tests.
 func SoftMaxGradScaledPar(f, scale, grad []float64) float64 {
 	if len(scale) != len(f) || len(grad) != len(f) {
 		panic("numutil: scale/grad length mismatch")
@@ -126,33 +86,58 @@ func SoftMaxGradScaledPar(f, scale, grad []float64) float64 {
 	if len(f) == 0 {
 		return math.Inf(-1)
 	}
-	m := par.Max(len(f), func(lo, hi int) float64 {
-		mm := 0.0
-		for i := lo; i < hi; i++ {
-			if a := math.Abs(f[i] * scale[i]); a > mm {
-				mm = a
-			}
-		}
-		return mm
-	})
-	sum := par.Sum(len(f), func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			y := f[i] * scale[i]
-			p := math.Exp(y - m)
-			q := math.Exp(-y - m)
-			s += p + q
-			grad[i] = p - q
-		}
-		return s
-	})
+	m := par.Max(len(f), func(lo, hi int) float64 { return ScaledAbsMax(f, scale, lo, hi) })
+	sum := par.Sum(len(f), func(lo, hi int) float64 { return ScaledExpSum(f, scale, grad, m, lo, hi) })
 	inv := 1 / sum
-	par.For(len(f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			grad[i] *= inv
-		}
-	})
+	par.For(len(f), func(lo, hi int) { ScaleRange(grad, inv, lo, hi) })
 	return m + math.Log(sum)
+}
+
+// The three passes of SoftMaxGradScaledPar over one index range
+// [lo,hi) — the soft-max kernels. The flat path runs them on par chunks;
+// internal/shard runs them on the chunks each shard owns and folds the
+// partials with par.FoldMax/par.FoldSum, so both paths compute the same
+// bits.
+
+// ScaledAbsMax returns max |f_i·scale_i| over [lo,hi), 0 for an empty
+// range: the soft-max shift.
+func ScaledAbsMax(f, scale []float64, lo, hi int) float64 {
+	f = f[lo:hi]
+	scale = scale[lo:hi][:len(f)]
+	m := 0.0
+	for i, x := range f {
+		if a := math.Abs(x * scale[i]); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// ScaledExpSum writes the gradient numerators grad_i = e^{y_i−m} −
+// e^{−y_i−m} of y_i = f_i·scale_i over [lo,hi) and returns the range's
+// shifted exponential sum Σ (e^{y_i−m} + e^{−y_i−m}).
+func ScaledExpSum(f, scale, grad []float64, m float64, lo, hi int) float64 {
+	f = f[lo:hi]
+	scale = scale[lo:hi][:len(f)]
+	grad = grad[lo:hi][:len(f)]
+	s := 0.0
+	for i, x := range f {
+		y := x * scale[i]
+		p := math.Exp(y - m)
+		q := math.Exp(-y - m)
+		s += p + q
+		grad[i] = p - q
+	}
+	return s
+}
+
+// ScaleRange multiplies x_i by c over [lo,hi): the gradient's 1/sum
+// normalization.
+func ScaleRange(x []float64, c float64, lo, hi int) {
+	x = x[lo:hi]
+	for i := range x {
+		x[i] *= c
+	}
 }
 
 // LogSumExp returns log Σ_i e^{y_i} evaluated stably.

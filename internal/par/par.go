@@ -267,11 +267,24 @@ func Sum(n int, body func(lo, hi int) float64) float64 {
 	pp := partialPool.Get().(*[]float64)
 	partial := *pp
 	runChunked(n, size, count, func(i, lo, hi int) { partial[i] = body(lo, hi) })
+	s := FoldSum(partial[:count])
+	partialPool.Put(pp)
+	return s
+}
+
+// FoldSum is Sum's combination of per-chunk partials: added in
+// chunk-index order, a single partial returned untouched. Code that
+// computes the partials elsewhere (the internal/shard coordinator,
+// which gathers them from the shards owning the chunks) folds them with
+// this function to reproduce Sum bit for bit.
+func FoldSum(partials []float64) float64 {
+	if len(partials) == 1 {
+		return partials[0]
+	}
 	s := 0.0
-	for _, p := range partial[:count] {
+	for _, p := range partials {
 		s += p
 	}
-	partialPool.Put(pp)
 	return s
 }
 
@@ -299,12 +312,22 @@ func Max(n int, body func(lo, hi int) float64) float64 {
 	pp := partialPool.Get().(*[]float64)
 	partial := *pp
 	runChunked(n, size, count, func(i, lo, hi int) { partial[i] = body(lo, hi) })
+	m := FoldMax(partial[:count])
+	partialPool.Put(pp)
+	return m
+}
+
+// FoldMax is Max's combination of per-chunk partials, the counterpart
+// of FoldSum.
+func FoldMax(partials []float64) float64 {
+	if len(partials) == 1 {
+		return partials[0]
+	}
 	m := math.Inf(-1)
-	for _, p := range partial[:count] {
+	for _, p := range partials {
 		if p > m {
 			m = p
 		}
 	}
-	partialPool.Put(pp)
 	return m
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math"
 	"slices"
 	"sync"
 
@@ -13,7 +12,7 @@ import (
 // rounds is the number of barrier-synchronized supersteps (including
 // compute-only steps — they occupy a slot of the synchronous schedule),
 // messages the number of cross-shard payloads, and bytes their summed
-// payload sizes (8 bytes per float64, 4 per int32 id).
+// payload sizes (8 bytes per float64 value).
 type Cost struct {
 	Rounds, Messages, Bytes int64
 }
@@ -25,46 +24,28 @@ func (c *Cost) Add(o Cost) {
 	c.Bytes += o.Bytes
 }
 
-// payload is one typed inter-shard message: a value vector, optionally
-// paired with vertex ids for sparse scatter (TreeFlow/PathDeltas
-// contributions). Dense exchanges (boundary mirrors, reductions) omit
-// ids — both sides hold the same static schedule, so positions encode
-// identity.
-type payload struct {
-	vals []float64
-	ids  []int32
-}
-
 // shardState is the per-shard private memory: reusable outboxes toward
 // every peer, mirrors of non-owned boundary state, and the message
 // counters for the current operation.
 type shardState struct {
 	id int
 
-	// outVals/outIDs[j] is the reusable send buffer toward peer j
-	// (j == id models local delivery: read back directly, never
-	// shipped, never counted). The round barrier makes reuse safe: a
-	// receiver finishes reading within the superstep the payload was
-	// sent in, and the sender only rewrites the buffer in a later
-	// superstep.
+	// outVals[j] is the reusable send buffer toward peer j (j == id
+	// models local delivery: read back directly, never shipped, never
+	// counted). The round barrier makes reuse safe: a receiver finishes
+	// reading within the superstep the payload was sent in, and the
+	// sender only rewrites the buffer in a later superstep.
 	outVals [][]float64
-	outIDs  [][]int32
 
 	// fMirror/piMirror hold received boundary values of non-owned
-	// edges/vertices. Only slots named by the static exchange lists are
-	// ever valid; tests poison the rest to prove the access discipline.
+	// edges/vertices plus a copy of the owned ones (see exchange). Only
+	// slots named by the static exchange lists or owned are ever valid;
+	// tests poison the rest to prove the access discipline.
 	fMirror  []float64
 	piMirror []float64
-
-	// acc is dense per-vertex accumulation scratch for the sparse tree
-	// operators (TreeFlow, PathDeltas); mark/touched track which slots
-	// are live so the next operation clears only those.
-	acc     []float64
-	mark    []bool
-	touched []int32
-	// dirtyOut carries each shard's sorted owned dirty vertices out of
-	// a PathDeltas round for the runner to concatenate.
-	dirtyOut []int32
+	// view is the local view of the last exchange, read by the next
+	// superstep's kernel.
+	view []float64
 
 	// recvBufs indexes the current superstep's received value buffers
 	// by source shard (reused across supersteps).
@@ -76,7 +57,6 @@ type shardState struct {
 func (s *shardState) resetOut() {
 	for j := range s.outVals {
 		s.outVals[j] = s.outVals[j][:0]
-		s.outIDs[j] = s.outIDs[j][:0]
 	}
 }
 
@@ -87,25 +67,22 @@ func (s *shardState) resetOut() {
 // per-query determinism contract because every operation's result is a
 // pure function of its inputs.
 type Engine struct {
+	// g is finalized and compacted at construction; the kernels read it
+	// without finalizing, so shard goroutines never trigger a lazy
+	// rebuild of the shared graph.
 	g     *graph.Graph
 	trees []*vtree.VTree
 	scale [][]float64
 	part  *Partition
 	P     int
 
-	// Immutable snapshots taken at construction so shard goroutines
-	// never trigger a lazy Compact/Finalize on the shared graph.
-	edges    []graph.Edge
-	adj      [][]graph.Arc
-	allTrees []int
-
 	mu sync.Mutex
 
-	cmd  []chan func(id int)
+	cmd  []chan func(s *shardState)
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	mesh [][]chan payload
+	mesh [][]chan []float64
 
 	sh []*shardState
 
@@ -152,38 +129,26 @@ func NewEngine(g *graph.Graph, trees []*vtree.VTree, scale [][]float64, p int) (
 		scale: scale,
 		part:  part,
 		P:     p,
-		cmd:   make([]chan func(id int), p),
+		cmd:   make([]chan func(s *shardState), p),
 		done:  make(chan struct{}, p),
-		mesh:  make([][]chan payload, p),
+		mesh:  make([][]chan []float64, p),
 		sh:    make([]*shardState, p),
 	}
 	for i := 0; i < p; i++ {
-		e.cmd[i] = make(chan func(id int))
-		e.mesh[i] = make([]chan payload, p)
+		e.cmd[i] = make(chan func(s *shardState))
+		e.mesh[i] = make([]chan []float64, p)
 		for j := 0; j < p; j++ {
 			if j != i {
-				e.mesh[i][j] = make(chan payload, 1)
+				e.mesh[i][j] = make(chan []float64, 1)
 			}
 		}
 		e.sh[i] = &shardState{
 			id:       i,
 			outVals:  make([][]float64, p),
-			outIDs:   make([][]int32, p),
 			fMirror:  make([]float64, g.M()),
 			piMirror: make([]float64, g.N()),
-			acc:      make([]float64, g.N()),
-			mark:     make([]bool, g.N()),
 			recvBufs: make([][]float64, p),
 		}
-	}
-	e.edges = g.Edges()
-	e.adj = make([][]graph.Arc, g.N())
-	for v := 0; v < g.N(); v++ {
-		e.adj[v] = g.Adj(v)
-	}
-	e.allTrees = make([]int, len(trees))
-	for k := range e.allTrees {
-		e.allTrees[k] = k
 	}
 	e.buildBoundary()
 	e.sched = make([]*sweepSched, len(trees))
@@ -226,17 +191,20 @@ func (e *Engine) Close() {
 
 func (e *Engine) loop(id int) {
 	defer e.wg.Done()
+	s := e.sh[id]
 	for fn := range e.cmd[id] {
-		fn(id)
+		s.resetOut()
+		fn(s)
 		e.done <- struct{}{}
 	}
 }
 
-// round runs one superstep on all shards and blocks until every shard
-// reaches the barrier. Shard bodies must not panic: an unwound shard
-// would strand peers blocked on its messages. The operators validate
-// inputs on the runner goroutine before the first round.
-func (e *Engine) round(c *Cost, fn func(id int)) {
+// round runs one superstep on all shards — fn on every shard's state,
+// its outboxes emptied first — and blocks until every shard reaches the
+// barrier. Shard bodies must not panic: an unwound shard would strand
+// peers blocked on its messages. The operators validate their arguments
+// on the caller's goroutine before the first round (see check).
+func (e *Engine) round(c *Cost, fn func(s *shardState)) {
 	for i := 0; i < e.P; i++ {
 		e.cmd[i] <- fn
 	}
@@ -263,45 +231,18 @@ func (e *Engine) send(s *shardState, j int) {
 	if j == s.id {
 		return
 	}
-	e.mesh[s.id][j] <- payload{vals: s.outVals[j], ids: s.outIDs[j]}
+	e.mesh[s.id][j] <- s.outVals[j]
 	s.msgs++
-	s.bytes += int64(8*len(s.outVals[j]) + 4*len(s.outIDs[j]))
+	s.bytes += int64(8 * len(s.outVals[j]))
 }
 
 // recv returns the payload peer j sent to shard s this superstep; for
 // j == s.id it returns s's own outbox (local delivery).
-func (e *Engine) recv(s *shardState, j int) payload {
+func (e *Engine) recv(s *shardState, j int) []float64 {
 	if j == s.id {
-		return payload{vals: s.outVals[j], ids: s.outIDs[j]}
+		return s.outVals[j]
 	}
 	return <-e.mesh[j][s.id]
-}
-
-// combineSum folds chunk partials exactly as par.Sum does — including
-// the single-chunk shortcut, which returns the partial untouched.
-func combineSum(partials []float64) float64 {
-	if len(partials) == 1 {
-		return partials[0]
-	}
-	s := 0.0
-	for _, p := range partials {
-		s += p
-	}
-	return s
-}
-
-// combineMax folds chunk partials exactly as par.Max does.
-func combineMax(partials []float64) float64 {
-	if len(partials) == 1 {
-		return partials[0]
-	}
-	m := math.Inf(-1)
-	for _, p := range partials {
-		if p > m {
-			m = p
-		}
-	}
-	return m
 }
 
 // buildBoundary derives the static exchange lists from the edge list:
@@ -321,8 +262,6 @@ func (e *Engine) buildBoundary() {
 	}
 	pt := e.part
 	edges := e.g.Edges()
-	// vertMark[ow][oe] tracks the last vertex appended to dedup the
-	// ascending-order append stream per (vertex owner, edge owner).
 	for ei := range edges {
 		oe := pt.EdgeOwner(ei)
 		u, v := edges[ei].U, edges[ei].V

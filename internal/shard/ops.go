@@ -1,13 +1,23 @@
 package shard
 
 import (
+	"fmt"
 	"math"
+
+	"distflow/internal/capprox"
+	"distflow/internal/numutil"
+	"distflow/internal/par"
 )
 
-// The per-iteration solver operators. Each mirrors one baseline
-// routine loop-for-loop; the comments name the reference. All of them
-// serialize on engine.mu — results are pure functions of the inputs,
-// so serialization cannot affect values, only wall time.
+// The per-evaluation solver operators. Each runs the kernels of its flat
+// entry point — numutil's soft-max passes, graph's residual and
+// gradient, capprox's R-row passes — on the chunks every shard owns, and
+// adds only what distribution needs: boundary exchange into the
+// mirrors, gather and broadcast through the coordinator, the
+// level-synchronous tree sweeps, and the coordinator's fold of the
+// gathered partials with the fold the flat reduction uses. All of them
+// serialize on engine.mu — results are pure functions of the inputs, so
+// serialization cannot affect values, only wall time.
 
 // chunkRange returns the [lo,hi) element range of grid chunk c.
 func chunkRange(c, size, n int) (lo, hi int) {
@@ -27,485 +37,310 @@ func (e *Engine) vertActive(k int) bool {
 	return e.part.VertChunkHi[k] > e.part.VertChunkLo[k]
 }
 
-// bcast ships val from the coordinator to every active peer; callers
-// on the receiving side pick it up with recvScalar.
-func (e *Engine) bcast(s *shardState, val float64, active func(int) bool) {
-	for j := 0; j < e.P; j++ {
-		if j == s.id || !active(j) {
-			continue
+// check panics unless every vector has length n. Operators call it
+// before their first superstep, so a mis-sized argument panics on the
+// caller's goroutine, where it can be recovered, and never inside a
+// shard goroutine, where it would take the process down (see round).
+func check(op string, n int, vecs ...[]float64) {
+	for _, v := range vecs {
+		if len(v) != n {
+			panic(fmt.Sprintf("shard: %s: argument of length %d, want %d", op, len(v), n))
 		}
-		s.outVals[j] = append(s.outVals[j][:0], val)
-		e.send(s, j)
 	}
 }
 
-// gatherPartials (coordinator only) assembles the per-chunk partials
-// shipped by every active shard into e.partials at global chunk
-// positions.
-func (e *Engine) gatherPartials(s *shardState, chunkLo, chunkHi []int) {
-	for j := 0; j < e.P; j++ {
-		if chunkHi[j] <= chunkLo[j] {
-			continue
+// checkTrees is check for per-tree scratch: one vector per tree, each
+// of the vertex count.
+func (e *Engine) checkTrees(op string, bufs ...[][]float64) {
+	for _, b := range bufs {
+		if len(b) != len(e.trees) {
+			panic(fmt.Sprintf("shard: %s: scratch for %d trees, want %d", op, len(b), len(e.trees)))
 		}
-		copy(e.partials[chunkLo[j]:chunkHi[j]], e.recv(s, j).vals)
+		check(op, e.part.N, b...)
 	}
 }
 
-// gatherTreePartials assembles per-(tree, chunk) partials: shard j
-// ships trees × ownedChunks values grouped by tree; the coordinator
-// scatters them to e.partials[t*VertChunks + chunk].
-func (e *Engine) gatherTreePartials(s *shardState, trees int) {
+// bcast returns the coordinator's scalar coordVal[slot] on shard s: the
+// coordinator ships it to every other shard for which active holds, and
+// those receive it. The other shards get 0; they own nothing to apply
+// it to.
+func (e *Engine) bcast(s *shardState, slot int, active func(int) bool) float64 {
+	switch {
+	case s.id == coord:
+		v := e.coordVal[slot]
+		for j := 0; j < e.P; j++ {
+			if j != coord && active(j) {
+				s.outVals[j] = append(s.outVals[j], v)
+				e.send(s, j)
+			}
+		}
+		return v
+	case active(s.id):
+		return e.recv(s, coord)[0]
+	}
+	return 0
+}
+
+// reduceEdges is par.Sum or par.Max (per fold) across the shards: body's
+// partials over shard s's owned edge chunks travel to the coordinator,
+// which folds all of them in global chunk order into coordVal[slot].
+func (e *Engine) reduceEdges(s *shardState, slot int, fold func([]float64) float64, body func(lo, hi int) float64) {
 	pt := e.part
-	for j := 0; j < e.P; j++ {
-		cnt := pt.VertChunkHi[j] - pt.VertChunkLo[j]
-		if cnt <= 0 {
-			continue
+	for ch := pt.EdgeChunkLo[s.id]; ch < pt.EdgeChunkHi[s.id]; ch++ {
+		lo, hi := chunkRange(ch, pt.EdgeSize, pt.M)
+		s.outVals[coord] = append(s.outVals[coord], body(lo, hi))
+	}
+	if s.id != coord {
+		if len(s.outVals[coord]) > 0 {
+			e.send(s, coord)
 		}
-		vals := e.recv(s, j).vals
-		for t := 0; t < trees; t++ {
-			copy(e.partials[t*pt.VertChunks+pt.VertChunkLo[j]:t*pt.VertChunks+pt.VertChunkHi[j]],
-				vals[t*cnt:(t+1)*cnt])
+		return
+	}
+	for j := 0; j < e.P; j++ {
+		if pt.EdgeChunkHi[j] > pt.EdgeChunkLo[j] {
+			copy(e.partials[pt.EdgeChunkLo[j]:pt.EdgeChunkHi[j]], e.recv(s, j))
 		}
 	}
+	e.coordVal[slot] = fold(e.partials[:pt.EdgeChunks])
 }
 
-// SoftMaxGradScaled mirrors numutil.SoftMaxGradScaledPar(f, scale,
-// grad): smax of the implicit vector y_i = f_i·scale_i with the
-// gradient numerators and 1/sum scaling written into grad. Three
-// rounds: max-shift gather, broadcast+exp-sum gather,
-// broadcast+gradient scaling. Bit-identical because the per-chunk
-// loop bodies are the same code over the same par.Grid chunks and the
-// coordinator folds partials exactly as par.Max/par.Sum do.
-func (e *Engine) SoftMaxGradScaled(f, scaleVec, grad []float64) (float64, Cost) {
+// gatherMax ends a superstep in which every shard put its maxima in its
+// outbox toward the coordinator: the vertex-owning shards ship them, and
+// the coordinator folds all of them into coordVal[slot]. A maximum is
+// exact, so this grouping gives the value the flat path folds per tree
+// and then over trees.
+func (e *Engine) gatherMax(s *shardState, slot int) {
+	if s.id != coord {
+		if e.vertActive(s.id) {
+			e.send(s, coord)
+		}
+		return
+	}
+	m := 0.0
+	for j := 0; j < e.P; j++ {
+		if !e.vertActive(j) {
+			continue
+		}
+		if v := par.FoldMax(e.recv(s, j)); v > m {
+			m = v
+		}
+	}
+	e.coordVal[slot] = m
+}
+
+// exchange ships x's boundary values along the static lists
+// lists[i][j] (slots shard i owns and shard j reads) and returns shard
+// s's local view of x, which the kernels read without knowing
+// ownership: x itself when s receives nothing — every slot it reads is
+// its own — and otherwise s's mirror, holding the received slots and a
+// copy of the owned range [lo,hi). The mirror's other slots are never
+// read.
+func (e *Engine) exchange(s *shardState, x []float64, lists [][][]int32, mirror []float64, lo, hi int) []float64 {
+	for j := 0; j < e.P; j++ {
+		if lst := lists[s.id][j]; j != s.id && len(lst) > 0 {
+			for _, i := range lst {
+				s.outVals[j] = append(s.outVals[j], x[i])
+			}
+			e.send(s, j)
+		}
+	}
+	local := true
+	for j := 0; j < e.P; j++ {
+		if lst := lists[j][s.id]; j != s.id && len(lst) > 0 {
+			for k, v := range e.recv(s, j) {
+				mirror[lst[k]] = v
+			}
+			local = false
+		}
+	}
+	if local {
+		return x
+	}
+	copy(mirror[lo:hi], x[lo:hi])
+	return mirror
+}
+
+// subtreeSums runs R's aggregation across the shards: each tree's
+// accumulator starts as x on the owned slots (SubtreeSumsInto's copy),
+// then the bottom-up sweep.
+func (e *Engine) subtreeSums(c *Cost, x []float64, acc [][]float64) {
+	e.round(c, func(s *shardState) {
+		lo, hi := e.part.VertLo[s.id], e.part.VertHi[s.id]
+		for k := range acc {
+			copy(acc[k][lo:hi], x[lo:hi])
+		}
+	})
+	e.sweepUp(c, acc)
+}
+
+// SoftMaxGradScaled is numutil.SoftMaxGradScaledPar(f, scale, grad) on
+// the shards' edge chunks. Three rounds: shift gather, broadcast and
+// exponential-sum gather, broadcast and gradient normalization.
+func (e *Engine) SoftMaxGradScaled(f, scale, grad []float64) (float64, Cost) {
+	check("SoftMaxGradScaled", e.part.M, f, scale, grad)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var c Cost
-	n := len(f)
-	if n == 0 {
+	if len(f) == 0 {
 		return math.Inf(-1), c
 	}
-	pt := e.part
-	e.round(&c, func(id int) {
-		s := e.sh[id]
-		s.resetOut()
-		for ch := pt.EdgeChunkLo[id]; ch < pt.EdgeChunkHi[id]; ch++ {
-			lo, hi := chunkRange(ch, pt.EdgeSize, n)
-			mm := 0.0
-			for i := lo; i < hi; i++ {
-				if a := math.Abs(f[i] * scaleVec[i]); a > mm {
-					mm = a
-				}
-			}
-			s.outVals[coord] = append(s.outVals[coord], mm)
-		}
-		if id != coord && len(s.outVals[coord]) > 0 {
-			e.send(s, coord)
-		}
-		if id == coord {
-			e.gatherPartials(s, pt.EdgeChunkLo, pt.EdgeChunkHi)
-			e.coordVal[0] = combineMax(e.partials[:pt.EdgeChunks])
-		}
+	e.round(&c, func(s *shardState) {
+		e.reduceEdges(s, 0, par.FoldMax, func(lo, hi int) float64 {
+			return numutil.ScaledAbsMax(f, scale, lo, hi)
+		})
 	})
 	m := e.coordVal[0]
-	e.round(&c, func(id int) {
-		s := e.sh[id]
-		s.resetOut()
-		mm := 0.0
-		switch {
-		case id == coord:
-			mm = e.coordVal[0]
-			e.bcast(s, mm, e.edgeActive)
-		case e.edgeActive(id):
-			mm = e.recv(s, coord).vals[0]
-		}
-		for ch := pt.EdgeChunkLo[id]; ch < pt.EdgeChunkHi[id]; ch++ {
-			lo, hi := chunkRange(ch, pt.EdgeSize, n)
-			ps := 0.0
-			for i := lo; i < hi; i++ {
-				y := f[i] * scaleVec[i]
-				p := math.Exp(y - mm)
-				q := math.Exp(-y - mm)
-				ps += p + q
-				grad[i] = p - q
-			}
-			s.outVals[coord] = append(s.outVals[coord], ps)
-		}
-		if id != coord && len(s.outVals[coord]) > 0 {
-			e.send(s, coord)
-		}
-		if id == coord {
-			e.gatherPartials(s, pt.EdgeChunkLo, pt.EdgeChunkHi)
-			e.coordVal[1] = combineSum(e.partials[:pt.EdgeChunks])
-		}
+	e.round(&c, func(s *shardState) {
+		m := e.bcast(s, 0, e.edgeActive)
+		e.reduceEdges(s, 1, par.FoldSum, func(lo, hi int) float64 {
+			return numutil.ScaledExpSum(f, scale, grad, m, lo, hi)
+		})
 	})
 	sum := e.coordVal[1]
-	e.round(&c, func(id int) {
-		s := e.sh[id]
-		s.resetOut()
-		sv := 0.0
-		switch {
-		case id == coord:
-			sv = e.coordVal[1]
-			e.bcast(s, sv, e.edgeActive)
-		case e.edgeActive(id):
-			sv = e.recv(s, coord).vals[0]
-		}
-		inv := 1 / sv
-		for i := pt.EdgeLo[id]; i < pt.EdgeHi[id]; i++ {
-			grad[i] *= inv
-		}
+	e.round(&c, func(s *shardState) {
+		inv := 1 / e.bcast(s, 1, e.edgeActive)
+		numutil.ScaleRange(grad, inv, e.part.EdgeLo[s.id], e.part.EdgeHi[s.id])
 	})
 	e.finishCost(&c)
 	return m + math.Log(sum), c
 }
 
-// Residual mirrors graph.DivergenceInto followed by the element-wise
-// r = bs − div: one round ships every boundary flow value to the
-// vertex owners that need it, then each shard sweeps its vertices in
-// the baseline's per-vertex arc order. Pass r == nil for plain
-// divergence.
+// Residual is graph.ResidualInto on the shards' vertices: one round
+// ships every boundary flow value to the vertex owners that need it,
+// and each shard runs the residual kernel over its vertices on its
+// local view of f. Pass bs == r == nil for plain divergence.
 func (e *Engine) Residual(f, bs, div, r []float64) Cost {
+	check("Residual", e.part.M, f)
+	check("Residual", e.part.N, div)
+	if r != nil {
+		check("Residual", e.part.N, bs, r)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var c Cost
 	pt := e.part
-	e.round(&c, func(id int) {
-		s := e.sh[id]
-		s.resetOut()
-		for j := 0; j < e.P; j++ {
-			lst := e.edgeSend[id][j]
-			if j == id || len(lst) == 0 {
-				continue
-			}
-			for _, ei := range lst {
-				s.outVals[j] = append(s.outVals[j], f[ei])
-			}
-			e.send(s, j)
-		}
-		for j := 0; j < e.P; j++ {
-			lst := e.edgeSend[j][id]
-			if j == id || len(lst) == 0 {
-				continue
-			}
-			vals := e.recv(s, j).vals
-			for i, ei := range lst {
-				s.fMirror[ei] = vals[i]
-			}
-		}
-		edges := e.edges
-		for v := pt.VertLo[id]; v < pt.VertHi[id]; v++ {
-			sum := 0.0
-			for _, a := range e.adj[v] {
-				fv := f[a.E]
-				if pt.EdgeOwner(a.E) != id {
-					fv = s.fMirror[a.E]
-				}
-				if edges[a.E].U == v {
-					sum += fv
-				} else {
-					sum -= fv
-				}
-			}
-			div[v] = sum
-			if r != nil {
-				r[v] = bs[v] - sum
-			}
-		}
+	e.round(&c, func(s *shardState) {
+		fv := e.exchange(s, f, e.edgeSend, s.fMirror, pt.EdgeLo[s.id], pt.EdgeHi[s.id])
+		e.g.ResidualRange(fv, bs, div, r, pt.VertLo[s.id], pt.VertHi[s.id])
 	})
 	e.finishCost(&c)
 	return c
 }
 
-// PotentialRT mirrors capprox.Approximator.PotentialRT: φ₂ = smax(y)
-// for y = ta·R·r with node potentials π = Rᵀ·∇smax(y), executed as
-// level-synchronous tree sweeps over all trees at once with
-// chunk-aligned reductions. sub and pt are the caller's per-tree
-// scratch (capprox.EvalScratch.Sub/PT); pi receives the potentials.
+// PotentialRT is capprox.Approximator.PotentialRT: φ₂ = smax(y) for
+// y = ta·R·r with node potentials π = Rᵀ·∇smax(y), executed as
+// level-synchronous tree sweeps over all trees at once with the R-row
+// kernels on the shards' vertex chunks. sub and pt are the caller's
+// per-tree scratch (capprox.EvalScratch.Sub/PT); pi receives the
+// potentials.
 func (e *Engine) PotentialRT(r []float64, ta float64, sub, pt [][]float64, pi []float64) (float64, Cost) {
+	check("PotentialRT", e.part.N, r, pi)
+	e.checkTrees("PotentialRT", sub, pt)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var c Cost
-	K := len(e.trees)
 	part := e.part
-	ts := e.allTrees
-	// Init: per-tree accumulators start as r on owned slots (the
-	// collective equivalent of SubtreeSumsInto's copy).
-	e.round(&c, func(id int) {
-		lo, hi := part.VertLo[id], part.VertHi[id]
-		for k := 0; k < K; k++ {
-			copy(sub[k][lo:hi], r[lo:hi])
+	e.subtreeSums(&c, r, sub)
+	// Row scaling with the per-tree maxima gathered at the coordinator.
+	e.round(&c, func(s *shardState) {
+		lo, hi := part.VertLo[s.id], part.VertHi[s.id]
+		for k, t := range e.trees {
+			s.outVals[coord] = append(s.outVals[coord], capprox.RowScale(sub[k], e.scale[k], t.Root, ta, lo, hi))
 		}
-	})
-	e.sweepUp(&c, ts, sub)
-	// Pass 1 scaling: y = ta·y/scale with per-tree |y| maxima; maxima
-	// gather at the coordinator (max is exact, so any fold grouping
-	// reproduces the sequential per-tree max).
-	e.round(&c, func(id int) {
-		s := e.sh[id]
-		s.resetOut()
-		lo, hi := part.VertLo[id], part.VertHi[id]
-		for k := 0; k < K; k++ {
-			t := e.trees[k]
-			scale := e.scale[k]
-			y := sub[k]
-			mm := 0.0
-			for v := lo; v < hi; v++ {
-				if v == t.Root || scale[v] == 0 {
-					y[v] = 0
-					continue
-				}
-				y[v] = ta * y[v] / scale[v]
-				if ay := math.Abs(y[v]); ay > mm {
-					mm = ay
-				}
-			}
-			s.outVals[coord] = append(s.outVals[coord], mm)
-		}
-		if id != coord && e.vertActive(id) {
-			e.send(s, coord)
-		}
-		if id == coord {
-			tm := e.partials[:K]
-			for k := range tm {
-				tm[k] = 0
-			}
-			for j := 0; j < e.P; j++ {
-				if !e.vertActive(j) {
-					continue
-				}
-				vals := e.recv(s, j).vals
-				for k := 0; k < K; k++ {
-					if vals[k] > tm[k] {
-						tm[k] = vals[k]
-					}
-				}
-			}
-			m := 0.0
-			for _, v := range tm {
-				if v > m {
-					m = v
-				}
-			}
-			e.coordVal[0] = m
-		}
+		e.gatherMax(s, 0)
 	})
 	m := e.coordVal[0]
-	// Pass 2: shifted exponential sums per (tree, chunk); the
-	// coordinator folds chunk partials in chunk order per tree, then
-	// trees in tree order — the canonical baseline expression.
-	e.round(&c, func(id int) {
-		s := e.sh[id]
-		s.resetOut()
-		mm := 0.0
-		switch {
-		case id == coord:
-			mm = e.coordVal[0]
-			e.bcast(s, mm, e.vertActive)
-		case e.vertActive(id):
-			mm = e.recv(s, coord).vals[0]
-		}
-		for k := 0; k < K; k++ {
-			t := e.trees[k]
-			y := sub[k]
-			for ch := part.VertChunkLo[id]; ch < part.VertChunkHi[id]; ch++ {
+	// Shifted exponential sums per (tree, chunk), shipped grouped by
+	// tree and folded by capprox.FoldExpSums at the coordinator.
+	e.round(&c, func(s *shardState) {
+		m := e.bcast(s, 0, e.vertActive)
+		for k, t := range e.trees {
+			for ch := part.VertChunkLo[s.id]; ch < part.VertChunkHi[s.id]; ch++ {
 				lo, hi := chunkRange(ch, part.VertSize, part.N)
-				ps := 0.0
-				for v := lo; v < hi; v++ {
-					if v == t.Root {
-						y[v] = 0
-						continue
-					}
-					p := math.Exp(y[v] - mm)
-					q := math.Exp(-y[v] - mm)
-					ps += p + q
-					y[v] = p - q
-				}
-				s.outVals[coord] = append(s.outVals[coord], ps)
+				s.outVals[coord] = append(s.outVals[coord], capprox.RowExp(sub[k], t.Root, m, lo, hi))
 			}
 		}
-		if id != coord && e.vertActive(id) {
-			e.send(s, coord)
+		if s.id != coord {
+			if e.vertActive(s.id) {
+				e.send(s, coord)
+			}
+			return
 		}
-		if id == coord {
-			e.gatherTreePartials(s, K)
-			total := 0.0
+		K := len(e.trees)
+		for j := 0; j < e.P; j++ {
+			cnt := part.VertChunkHi[j] - part.VertChunkLo[j]
+			if cnt <= 0 {
+				continue
+			}
+			vals := e.recv(s, j)
 			for k := 0; k < K; k++ {
-				tsum := 0.0
-				for ch := 0; ch < part.VertChunks; ch++ {
-					tsum += e.partials[k*part.VertChunks+ch]
-				}
-				total += tsum
+				copy(e.partials[k*part.VertChunks+part.VertChunkLo[j]:], vals[k*cnt:(k+1)*cnt])
 			}
-			e.coordVal[1] = total
 		}
+		e.coordVal[1] = capprox.FoldExpSums(e.partials[:K*part.VertChunks], part.VertChunks)
 	})
 	sum := e.coordVal[1]
-	// Pass 3 prep: pt[k][v] = y·inv/scale on owned slots, zero at
-	// roots and zero-scale slots; then the top-down sweeps and the
-	// per-vertex cross-tree accumulation in tree order.
-	e.round(&c, func(id int) {
-		s := e.sh[id]
-		s.resetOut()
-		sv := 0.0
-		switch {
-		case id == coord:
-			sv = e.coordVal[1]
-			e.bcast(s, sv, e.vertActive)
-		case e.vertActive(id):
-			sv = e.recv(s, coord).vals[0]
-		}
-		inv := 1 / sv
-		lo, hi := part.VertLo[id], part.VertHi[id]
-		for k := 0; k < K; k++ {
-			t := e.trees[k]
-			scale := e.scale[k]
-			y := sub[k]
-			buf := pt[k]
-			for v := lo; v < hi; v++ {
-				if v == t.Root || scale[v] == 0 {
-					buf[v] = 0
-					continue
-				}
-				buf[v] = y[v] * inv / scale[v]
-			}
+	// Rᵀ: row scaling of the normalized gradient, the top-down sweeps,
+	// and the per-vertex accumulation in tree order.
+	e.round(&c, func(s *shardState) {
+		inv := 1 / e.bcast(s, 1, e.vertActive)
+		lo, hi := part.VertLo[s.id], part.VertHi[s.id]
+		for k, t := range e.trees {
+			capprox.RowPrep(pt[k], sub[k], e.scale[k], t.Root, inv, lo, hi)
 		}
 	})
-	e.sweepDn(&c, ts, pt)
-	e.round(&c, func(id int) {
-		lo, hi := part.VertLo[id], part.VertHi[id]
-		for v := lo; v < hi; v++ {
-			acc := 0.0
-			for k := 0; k < K; k++ {
-				acc += pt[k][v]
-			}
-			pi[v] = acc
-		}
+	e.sweepDn(&c, pt)
+	e.round(&c, func(s *shardState) {
+		capprox.SumTrees(pi, pt, part.VertLo[s.id], part.VertHi[s.id])
 	})
 	e.finishCost(&c)
 	return m + math.Log(sum), c
 }
 
-// GradientDelta mirrors sherman's gradient/duality-gap reduction: one
-// round ships boundary potentials to edge owners, one computes
-// grad[e] = w1[e]·invCap[e] + ta·(π_V − π_U) per owned edge with the
-// chunked Σ cap·|grad| partials gathered at the coordinator.
+// GradientDelta is graph.GradientInto on the shards' edge chunks: one
+// round ships boundary potentials to the edge owners, one runs the
+// gradient kernel on each shard's local view of π with the δ partials
+// gathered and folded at the coordinator.
 func (e *Engine) GradientDelta(w1, invCap []float64, ta float64, pi, grad []float64) (float64, Cost) {
+	check("GradientDelta", e.part.M, w1, invCap, grad)
+	check("GradientDelta", e.part.N, pi)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var c Cost
-	pt := e.part
-	e.round(&c, func(id int) {
-		s := e.sh[id]
-		s.resetOut()
-		for j := 0; j < e.P; j++ {
-			lst := e.vertSend[id][j]
-			if j == id || len(lst) == 0 {
-				continue
-			}
-			for _, v := range lst {
-				s.outVals[j] = append(s.outVals[j], pi[v])
-			}
-			e.send(s, j)
-		}
-		for j := 0; j < e.P; j++ {
-			lst := e.vertSend[j][id]
-			if j == id || len(lst) == 0 {
-				continue
-			}
-			vals := e.recv(s, j).vals
-			for i, v := range lst {
-				s.piMirror[v] = vals[i]
-			}
-		}
+	e.round(&c, func(s *shardState) {
+		s.view = e.exchange(s, pi, e.vertSend, s.piMirror, e.part.VertLo[s.id], e.part.VertHi[s.id])
 	})
-	e.round(&c, func(id int) {
-		s := e.sh[id]
-		s.resetOut()
-		edges := e.edges
-		for ch := pt.EdgeChunkLo[id]; ch < pt.EdgeChunkHi[id]; ch++ {
-			lo, hi := chunkRange(ch, pt.EdgeSize, pt.M)
-			d := 0.0
-			for ei := lo; ei < hi; ei++ {
-				ed := edges[ei]
-				pu, pv := pi[ed.U], pi[ed.V]
-				if pt.VertOwner(ed.U) != id {
-					pu = s.piMirror[ed.U]
-				}
-				if pt.VertOwner(ed.V) != id {
-					pv = s.piMirror[ed.V]
-				}
-				gr := w1[ei]*invCap[ei] + ta*(pv-pu)
-				grad[ei] = gr
-				d += float64(ed.Cap) * math.Abs(gr)
-			}
-			s.outVals[coord] = append(s.outVals[coord], d)
-		}
-		if id != coord && len(s.outVals[coord]) > 0 {
-			e.send(s, coord)
-		}
-		if id == coord {
-			e.gatherPartials(s, pt.EdgeChunkLo, pt.EdgeChunkHi)
-			e.coordVal[0] = combineSum(e.partials[:pt.EdgeChunks])
-		}
+	e.round(&c, func(s *shardState) {
+		e.reduceEdges(s, 0, par.FoldSum, func(lo, hi int) float64 {
+			return e.g.GradientRange(w1, invCap, ta, s.view, grad, lo, hi)
+		})
 	})
-	delta := e.coordVal[0]
 	e.finishCost(&c)
-	return delta, c
+	return e.coordVal[0], c
 }
 
-// NormRb mirrors capprox.Approximator.NormRb: ‖R·b‖∞ via a bottom-up
-// sweep of every tree, the row scaling, and an exact max fold. sub is
-// per-tree scratch (len trees × N), typically the caller's
-// EvalScratch.Sub between evaluations.
+// NormRb is capprox.Approximator.NormRbInto: ‖R·b‖∞ via a bottom-up
+// sweep of every tree, R's row scaling, and a max fold. sub is per-tree
+// scratch (len trees × N), typically the caller's EvalScratch.Sub
+// between evaluations, which it overwrites.
 func (e *Engine) NormRb(b []float64, sub [][]float64) (float64, Cost) {
+	check("NormRb", e.part.N, b)
+	e.checkTrees("NormRb", sub)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var c Cost
-	K := len(e.trees)
-	part := e.part
-	e.round(&c, func(id int) {
-		lo, hi := part.VertLo[id], part.VertHi[id]
-		for k := 0; k < K; k++ {
-			copy(sub[k][lo:hi], b[lo:hi])
-		}
-	})
-	e.sweepUp(&c, e.allTrees, sub)
-	e.round(&c, func(id int) {
-		s := e.sh[id]
-		s.resetOut()
-		lo, hi := part.VertLo[id], part.VertHi[id]
-		mm := 0.0
-		for k := 0; k < K; k++ {
-			t := e.trees[k]
-			scale := e.scale[k]
-			y := sub[k]
-			for v := lo; v < hi; v++ {
-				if v == t.Root || scale[v] == 0 {
-					continue
-				}
-				if a := math.Abs(y[v] / scale[v]); a > mm {
-					mm = a
-				}
+	e.subtreeSums(&c, b, sub)
+	e.round(&c, func(s *shardState) {
+		lo, hi := e.part.VertLo[s.id], e.part.VertHi[s.id]
+		m := 0.0
+		for k, t := range e.trees {
+			if v := capprox.RowScale(sub[k], e.scale[k], t.Root, 1, lo, hi); v > m {
+				m = v
 			}
 		}
-		s.outVals[coord] = append(s.outVals[coord], mm)
-		if id != coord && e.vertActive(id) {
-			e.send(s, coord)
-		}
-		if id == coord {
-			m := 0.0
-			for j := 0; j < e.P; j++ {
-				if !e.vertActive(j) {
-					continue
-				}
-				if v := e.recv(s, j).vals[0]; v > m {
-					m = v
-				}
-			}
-			e.coordVal[0] = m
-		}
+		s.outVals[coord] = append(s.outVals[coord], m)
+		e.gatherMax(s, 0)
 	})
-	norm := e.coordVal[0]
 	e.finishCost(&c)
-	return norm, c
+	return e.coordVal[0], c
 }

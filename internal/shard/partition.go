@@ -1,27 +1,28 @@
-// Package shard executes the solver's per-iteration operators —
-// soft-max gradient, divergence, the R/Rᵀ tree sweeps, and the
-// vtree.TreeFlow / PathDeltas primitives — across P shards, each a
-// goroutine with private mirrors of the boundary state it does not
-// own, exchanging typed messages over a channel mesh under a
-// synchronous round barrier (DESIGN.md §13). The engine measures what
+// Package shard executes the solver's per-evaluation operators —
+// soft-max gradient, residual, the R/Rᵀ tree sweeps, edge gradient, and
+// ‖Rb‖∞ — across P shards, each a goroutine with private mirrors of the
+// boundary state it does not own, exchanging messages over a channel
+// mesh under a synchronous round barrier (DESIGN.md §13). The
+// arithmetic is not here: each operator runs the kernels of its flat
+// entry point (numutil, graph, capprox) on the chunks a shard owns, and
+// the engine adds ownership, exchange, gather/broadcast, the sweep
+// schedule and the coordinator's fold. It measures what
 // internal/congest otherwise only accounts: rounds of synchronous
 // exchange, messages, and payload bytes per operator application.
 //
 // Determinism contract: every operator produces results bit-identical
 // to the single-address-space path at every (P, worker-count)
-// combination. Three mechanisms carry the proof:
+// combination. Two mechanisms carry the proof:
 //
-//   - Shard ownership ranges are unions of whole par.Grid chunks, and
-//     the coordinator folds gathered chunk partials in global chunk
-//     order — literally the same float expression par.Sum/par.Max
-//     evaluate.
+//   - Same kernel, same fold: shard ownership ranges are unions of whole
+//     par.Grid chunks, each chunk's partial comes from the flat path's
+//     kernel, and the coordinator folds the partials in global chunk
+//     order with the function the flat reduction folds with
+//     (par.FoldSum/par.FoldMax, capprox.FoldExpSums).
 //   - Tree sweeps run level-synchronously with statically scheduled
 //     application order (descending child position, the sequential
 //     sweep's order), so each accumulator sees the same additions in
 //     the same order.
-//   - TreeFlow/PathDeltas contributions are integer-valued in the
-//     solver's capacity regime, where float64 addition is exact and
-//     therefore order-free.
 package shard
 
 import (

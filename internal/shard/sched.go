@@ -5,8 +5,9 @@ import (
 )
 
 // The tree sweeps run level-synchronously: one superstep per depth
-// level, bottom-up for SubtreeSums (Rᵀ… no — R's subtree aggregation)
-// and top-down for RootPathSums. The sequential sweeps add child
+// level, bottom-up for SubtreeSums (R's subtree aggregation) and
+// top-down for RootPathSums (Rᵀ's root-path accumulation). The
+// sequential sweeps add child
 // contributions to each parent in descending topological-order
 // position; because every child of a depth-d vertex sits at depth d+1,
 // processing whole levels preserves exactly that per-parent addition
@@ -174,40 +175,37 @@ func buildSweepSched(t *vtree.VTree, pt *Partition) *sweepSched {
 	return sc
 }
 
-// sweepUpLevel executes one bottom-up superstep at level lvl for the
-// trees ts with accumulators acc (aligned with ts): traverse owned
-// vertices at this depth routing each value to its parent's owner,
-// ship, then apply received contributions in descending child
-// position.
-func (e *Engine) sweepUpLevel(id, lvl int, ts []int, acc [][]float64) {
-	s := e.sh[id]
-	s.resetOut()
-	for ti, k := range ts {
-		if lvl > e.sched[k].H {
+// sweepUpLevel executes one bottom-up superstep at level lvl for every
+// tree with accumulators acc (one per tree): traverse owned vertices at
+// this depth routing each value to its parent's owner, ship, then apply
+// received contributions in descending child position.
+func (e *Engine) sweepUpLevel(s *shardState, lvl int, acc [][]float64) {
+	for k, sc := range e.sched {
+		if lvl > sc.H {
 			continue
 		}
-		ss := e.sched[k].sh[id]
+		ss := sc.sh[s.id]
 		lo, hi := ss.vertOff[lvl], ss.vertOff[lvl+1]
-		a := acc[ti]
+		a := acc[k]
 		for i := hi - 1; i >= lo; i-- {
 			d := ss.owner[i]
 			s.outVals[d] = append(s.outVals[d], a[ss.verts[i]])
 		}
 	}
 	for j := 0; j < e.P; j++ {
-		if j != id && len(s.outVals[j]) > 0 {
+		if j != s.id && len(s.outVals[j]) > 0 {
 			e.send(s, j)
 		}
 	}
-	bufs := e.recvMasked(s, lvl, ts, true)
+	bufs := e.recvMasked(s, lvl, true)
 	var base, ctr [64]int32
-	for ti, k := range ts {
-		if lvl > e.sched[k].H {
+	for k, sc := range e.sched {
+		if lvl > sc.H {
 			continue
 		}
-		ss := e.sched[k].sh[id]
+		ss := sc.sh[s.id]
 		lo, hi := ss.applyOff[lvl], ss.applyOff[lvl+1]
-		a := acc[ti]
+		a := acc[k]
 		for i := lo; i < hi; i++ {
 			src := ss.applySrc[i]
 			a[ss.applyParent[i]] += bufs[src][base[src]+ctr[src]]
@@ -224,15 +222,13 @@ func (e *Engine) sweepUpLevel(id, lvl int, ts []int, acc [][]float64) {
 // peer the parent values its vertices at this depth need (in the
 // peer's traversal order), then add the parent value into each owned
 // vertex.
-func (e *Engine) sweepDnLevel(id, lvl int, ts []int, acc [][]float64) {
-	s := e.sh[id]
-	s.resetOut()
-	for ti, k := range ts {
-		if lvl > e.sched[k].H {
+func (e *Engine) sweepDnLevel(s *shardState, lvl int, acc [][]float64) {
+	for k, sc := range e.sched {
+		if lvl > sc.H {
 			continue
 		}
-		ss := e.sched[k].sh[id]
-		a := acc[ti]
+		ss := sc.sh[s.id]
+		a := acc[k]
 		for j := 0; j < e.P; j++ {
 			off := ss.sendOff[j]
 			if off == nil {
@@ -244,19 +240,19 @@ func (e *Engine) sweepDnLevel(id, lvl int, ts []int, acc [][]float64) {
 		}
 	}
 	for j := 0; j < e.P; j++ {
-		if j != id && len(s.outVals[j]) > 0 {
+		if j != s.id && len(s.outVals[j]) > 0 {
 			e.send(s, j)
 		}
 	}
-	bufs := e.recvMasked(s, lvl, ts, false)
+	bufs := e.recvMasked(s, lvl, false)
 	var base, ctr [64]int32
-	for ti, k := range ts {
-		if lvl > e.sched[k].H {
+	for k, sc := range e.sched {
+		if lvl > sc.H {
 			continue
 		}
-		ss := e.sched[k].sh[id]
+		ss := sc.sh[s.id]
 		lo, hi := ss.vertOff[lvl], ss.vertOff[lvl+1]
-		a := acc[ti]
+		a := acc[k]
 		for i := lo; i < hi; i++ {
 			src := ss.owner[i]
 			a[ss.verts[i]] += bufs[src][base[src]+ctr[src]]
@@ -272,13 +268,13 @@ func (e *Engine) sweepDnLevel(id, lvl int, ts []int, acc [][]float64) {
 // recvMasked receives this superstep's expected payloads (union of the
 // per-tree level masks) and returns the value buffers indexed by
 // source shard; the shard's own outbox stands in for source id.
-func (e *Engine) recvMasked(s *shardState, lvl int, ts []int, up bool) [][]float64 {
+func (e *Engine) recvMasked(s *shardState, lvl int, up bool) [][]float64 {
 	var mask uint64
-	for _, k := range ts {
-		if lvl > e.sched[k].H {
+	for _, sc := range e.sched {
+		if lvl > sc.H {
 			continue
 		}
-		ss := e.sched[k].sh[s.id]
+		ss := sc.sh[s.id]
 		if up {
 			mask |= ss.upRecv[lvl]
 		} else {
@@ -290,7 +286,7 @@ func (e *Engine) recvMasked(s *shardState, lvl int, ts []int, up bool) [][]float
 		if j == s.id {
 			bufs[j] = s.outVals[j]
 		} else if mask&(1<<uint(j)) != 0 {
-			bufs[j] = e.recv(s, j).vals
+			bufs[j] = e.recv(s, j)
 		} else {
 			bufs[j] = nil
 		}
@@ -298,31 +294,17 @@ func (e *Engine) recvMasked(s *shardState, lvl int, ts []int, up bool) [][]float
 	return bufs
 }
 
-// sweepUp runs a full bottom-up sweep (levels maxH…1) over the trees
-// ts with accumulators acc.
-func (e *Engine) sweepUp(c *Cost, ts []int, acc [][]float64) {
-	maxH := 0
-	for _, k := range ts {
-		if h := e.sched[k].H; h > maxH {
-			maxH = h
-		}
-	}
-	for lvl := maxH; lvl >= 1; lvl-- {
-		l := lvl
-		e.round(c, func(id int) { e.sweepUpLevel(id, l, ts, acc) })
+// sweepUp runs a full bottom-up sweep (levels maxH…1) over every tree
+// with accumulators acc.
+func (e *Engine) sweepUp(c *Cost, acc [][]float64) {
+	for lvl := e.maxH; lvl >= 1; lvl-- {
+		e.round(c, func(s *shardState) { e.sweepUpLevel(s, lvl, acc) })
 	}
 }
 
 // sweepDn runs a full top-down sweep (levels 1…maxH).
-func (e *Engine) sweepDn(c *Cost, ts []int, acc [][]float64) {
-	maxH := 0
-	for _, k := range ts {
-		if h := e.sched[k].H; h > maxH {
-			maxH = h
-		}
-	}
-	for lvl := 1; lvl <= maxH; lvl++ {
-		l := lvl
-		e.round(c, func(id int) { e.sweepDnLevel(id, l, ts, acc) })
+func (e *Engine) sweepDn(c *Cost, acc [][]float64) {
+	for lvl := 1; lvl <= e.maxH; lvl++ {
+		e.round(c, func(s *shardState) { e.sweepDnLevel(s, lvl, acc) })
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"distflow/internal/capprox"
 	"distflow/internal/graph"
 	"distflow/internal/numutil"
-	"distflow/internal/par"
 	"distflow/internal/vtree"
 )
 
@@ -276,19 +275,8 @@ func TestGradientDeltaEquivalence(t *testing.T) {
 	}
 	pi := fx.randVertVec()
 	const ta = 1.5
-	// The baseline is sherman's fused gradient/duality-gap reduction.
-	edges := fx.g.Edges()
 	wantGrad := make([]float64, m)
-	want := par.Sum(m, func(lo, hi int) float64 {
-		d := 0.0
-		for ei := lo; ei < hi; ei++ {
-			ed := edges[ei]
-			gr := w1[ei]*invCap[ei] + ta*(pi[ed.V]-pi[ed.U])
-			wantGrad[ei] = gr
-			d += float64(ed.Cap) * math.Abs(gr)
-		}
-		return d
-	})
+	want := fx.g.GradientInto(w1, invCap, ta, pi, wantGrad)
 	for _, p := range shardCounts {
 		e := fx.engine(t, p)
 		poisonMirrors(e)
@@ -314,70 +302,6 @@ func TestNormRbEquivalence(t *testing.T) {
 		}
 		got, _ := e.NormRb(b, sub)
 		sameF64(t, "normRb", got, want)
-	}
-}
-
-func TestTreeFlowEquivalence(t *testing.T) {
-	fx := newFixture(t, 5000, 2, 6)
-	var pairs []vtree.EdgeEndpoint
-	for i := 0; i < 4000; i++ {
-		u, v := fx.rng.Intn(fx.g.N()), fx.rng.Intn(fx.g.N())
-		if i%97 == 0 {
-			v = u // self-pair: must route nowhere
-		}
-		pairs = append(pairs, vtree.EdgeEndpoint{U: u, V: v, Cap: float64(1 + fx.rng.Intn(1000))})
-	}
-	for k, tr := range fx.trees {
-		want := append([]float64(nil), tr.TreeFlowWS(pairs, &vtree.TreeFlowScratch{})...)
-		for _, p := range shardCounts {
-			e := fx.engine(t, p)
-			out := make([]float64, fx.g.N())
-			cost := e.TreeFlow(k, pairs, out)
-			sameVec(t, "tree flow", out, want)
-			if p == 1 && cost.Messages != 0 {
-				t.Errorf("P=1 TreeFlow messages = %d", cost.Messages)
-			}
-		}
-	}
-}
-
-func TestPathDeltasEquivalence(t *testing.T) {
-	fx := newFixture(t, 5000, 2, 7)
-	var edits []vtree.DeltaEdit
-	for i := 0; i < 600; i++ {
-		u, v := fx.rng.Intn(fx.g.N()), fx.rng.Intn(fx.g.N())
-		diff := float64(fx.rng.Intn(21) - 10)
-		if i%83 == 0 {
-			v = u
-		}
-		edits = append(edits, vtree.DeltaEdit{U: u, V: v, Diff: diff})
-	}
-	for k, tr := range fx.trees {
-		wantDirty, wantDelta := tr.PathDeltas(edits, &vtree.DeltaScratch{})
-		wantSet := make(map[int]float64, len(wantDirty))
-		for _, v := range wantDirty {
-			wantSet[v] = wantDelta[v]
-		}
-		for _, p := range shardCounts {
-			e := fx.engine(t, p)
-			delta := make([]float64, fx.g.N())
-			dirty, _ := e.PathDeltas(k, edits, delta)
-			if len(dirty) != len(wantDirty) {
-				t.Fatalf("P=%d tree %d: %d dirty, want %d", p, k, len(dirty), len(wantDirty))
-			}
-			for i, v := range dirty {
-				if i > 0 && dirty[i-1] >= v {
-					t.Fatalf("P=%d tree %d: dirty not sorted ascending at %d", p, k, i)
-				}
-				wv, ok := wantSet[v]
-				if !ok {
-					t.Fatalf("P=%d tree %d: spurious dirty vertex %d", p, k, v)
-				}
-				if math.Float64bits(delta[v]) != math.Float64bits(wv) {
-					t.Fatalf("P=%d tree %d: delta[%d] = %v, want %v", p, k, v, delta[v], wv)
-				}
-			}
-		}
 	}
 }
 
@@ -505,29 +429,82 @@ func TestMoreShardsThanChunks(t *testing.T) {
 	sameF64(t, "tiny normRb", gotNorm, fx.apx.NormRb(b))
 }
 
-// TestCostAccounting checks the measured-complexity bookkeeping: at
-// P>1 a boundary exchange reports nonzero messages with byte counts
-// divisible by the wire sizes, and repeated runs report identical
-// costs (the schedule is static).
+// TestCostAccounting pins the exchange protocol: the exact rounds,
+// messages and bytes of every operator at P ∈ {1, 2, 4, 8} on one
+// fixture (5000 vertices in three chunks, ~10⁴ edges in five, three
+// trees, so P ≥ 4 leaves shards without vertices). The schedules are
+// static, so a second run must bill the same; a change to who ships
+// what to whom changes these numbers.
 func TestCostAccounting(t *testing.T) {
-	fx := newFixture(t, 5000, 1, 11)
-	f := fx.randEdgeVec()
-	bs := fx.randVertVec()
-	e := fx.engine(t, 4)
-	div := make([]float64, fx.g.N())
-	r := make([]float64, fx.g.N())
-	c1 := e.Residual(f, bs, div, r)
-	c2 := e.Residual(f, bs, div, r)
-	if c1 != c2 {
-		t.Errorf("residual cost not reproducible: %+v then %+v", c1, c2)
+	fx := newFixture(t, 5000, 3, 11)
+	n, m := fx.g.N(), fx.g.M()
+	f, bs := fx.randEdgeVec(), fx.randVertVec()
+	sc := make([]float64, m)
+	for i := range sc {
+		sc[i] = 0.1 + fx.rng.Float64()
 	}
-	if c1.Messages == 0 || c1.Bytes == 0 {
-		t.Errorf("P=4 residual cost %+v, want nonzero traffic", c1)
+	w1, grad := make([]float64, m), make([]float64, m)
+	div, r, pi := make([]float64, n), make([]float64, n), make([]float64, n)
+	ws := fx.apx.NewEvalScratch()
+	ops := []string{"SoftMaxGradScaled", "Residual", "PotentialRT", "GradientDelta", "NormRb"}
+	want := map[int][]Cost{
+		1: {{3, 0, 0}, {1, 0, 0}, {41, 0, 0}, {2, 0, 0}, {20, 0, 0}},
+		2: {{3, 4, 80}, {1, 2, 65192}, {41, 38, 87080}, {2, 3, 34360}, {20, 18, 43504}},
+		4: {{3, 12, 144}, {1, 8, 129600}, {41, 108, 120256}, {2, 11, 75904}, {20, 51, 60056}},
+		8: {{3, 28, 224}, {1, 18, 160400}, {41, 108, 120256}, {2, 25, 111664}, {20, 51, 60056}},
 	}
-	if c1.Bytes%8 != 0 {
-		t.Errorf("residual bytes %d not a multiple of the float64 wire size", c1.Bytes)
+	for _, p := range []int{1, 2, 4, 8} {
+		e := fx.engine(t, p)
+		run := func() []Cost {
+			got := make([]Cost, 5)
+			_, got[0] = e.SoftMaxGradScaled(f, sc, w1)
+			got[1] = e.Residual(f, bs, div, r)
+			_, got[2] = e.PotentialRT(r, 1.5, ws.Sub, ws.PT, pi)
+			_, got[3] = e.GradientDelta(w1, sc, 1.5, pi, grad)
+			_, got[4] = e.NormRb(bs, ws.Sub)
+			return got
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i, c := range run() {
+				if c != want[p][i] {
+					t.Errorf("P=%d %s pass %d: cost %+v, want %+v", p, ops[i], pass, c, want[p][i])
+				}
+			}
+		}
 	}
-	if c1.Rounds != 1 {
-		t.Errorf("residual rounds = %d, want 1", c1.Rounds)
+}
+
+// TestArgumentChecksOnCaller passes each operator one mis-sized
+// argument at P=2: the panic must surface on the caller's goroutine,
+// where recover catches it, before any superstep runs — a panic inside
+// a shard goroutine would kill the process instead. The engine must
+// then still serve a well-formed call.
+func TestArgumentChecksOnCaller(t *testing.T) {
+	fx := newFixture(t, 5000, 2, 12)
+	n, m := fx.g.N(), fx.g.M()
+	e := fx.engine(t, 2)
+	ws := fx.apx.NewEvalScratch()
+	edge, vert, short := make([]float64, m), make([]float64, n), make([]float64, 10)
+	for _, tc := range []struct {
+		op string
+		fn func()
+	}{
+		{"SoftMaxGradScaled", func() { e.SoftMaxGradScaled(edge, short, make([]float64, m)) }},
+		{"Residual", func() { e.Residual(edge, vert, make([]float64, n), short) }},
+		{"PotentialRT", func() { e.PotentialRT(vert, 1, ws.Sub, [][]float64{short, short}, make([]float64, n)) }},
+		{"GradientDelta", func() { e.GradientDelta(edge, edge, 1, short, make([]float64, m)) }},
+		{"NormRb", func() { e.NormRb(short, ws.Sub) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a mis-sized argument", tc.op)
+				}
+			}()
+			tc.fn()
+		}()
+	}
+	if _, c := e.NormRb(vert, ws.Sub); c.Rounds == 0 {
+		t.Errorf("engine did not run after the rejected calls: cost %+v", c)
 	}
 }

@@ -146,12 +146,12 @@ type Solver struct {
 	g   *graph.Graph
 	apx *capprox.Approximator
 
-	// eng, when non-nil, executes the per-iteration operators on the
-	// sharded message-passing engine instead of the single-address-space
-	// path. Results are bit-identical (internal/shard's determinism
-	// contract); what changes is that the ledger additionally records
-	// measured rounds, messages, and bytes.
-	eng *shard.Engine
+	// ops executes the per-evaluation operators: flat by default, on a
+	// sharded message-passing engine after SetEngine. Results are
+	// bit-identical (internal/shard's determinism contract); what
+	// changes is that the ledger additionally records measured rounds,
+	// messages, and bytes.
+	ops operators
 
 	wsPool sync.Pool
 
@@ -165,41 +165,103 @@ type Solver struct {
 // queries; the package-level AlmostRoute/MaxFlow wrappers create a
 // throwaway Solver per call.
 func NewSolver(g *graph.Graph, apx *capprox.Approximator) *Solver {
-	return &Solver{g: g, apx: apx}
+	return &Solver{g: g, apx: apx, ops: flatOps{g, apx}}
 }
 
 // SetEngine attaches a sharded execution engine built over the same
 // (g, apx). Must be called before the Solver serves queries — the
 // field is read without synchronization on the hot path. Pass nil to
 // return to single-address-space execution.
-func (s *Solver) SetEngine(e *shard.Engine) { s.eng = e }
-
-func (s *Solver) getWS() *workspace {
-	ws, ok := s.wsPool.Get().(*workspace)
-	if !ok {
-		ws = newWorkspace(s.g, s.apx)
+func (s *Solver) SetEngine(e *shard.Engine) {
+	if e == nil {
+		s.ops = flatOps{s.g, s.apx}
+		return
 	}
-	// Pooled workspaces may predate SetEngine; refresh the binding.
-	ws.eng = s.eng
-	return ws
+	s.ops = engineOps{e}
 }
 
-// normRb computes ‖Rb‖∞, on the engine when one is attached (charging
-// the measured exchange to ledger) and on the flat path otherwise.
-func (s *Solver) normRb(b []float64, ledger *congest.Ledger) float64 {
-	if s.eng == nil {
-		return s.apx.NormRb(b)
+// operators is the operator set of Sherman's potential on one execution
+// substrate: the C⁻¹-scaled soft-max, the residual b − Bf, φ₂ with
+// π = Rᵀ∇smax, the edge gradient with δ, and ‖Rb‖∞. Each returns the
+// measured exchange bill, zero on the flat path.
+type operators interface {
+	softMaxGrad(f, scale, grad []float64) (float64, shard.Cost)
+	residual(f, bs, div, r []float64) shard.Cost
+	potentialRT(r []float64, ta float64, s *capprox.EvalScratch, pi []float64) (float64, shard.Cost)
+	gradient(w1, invCap []float64, ta float64, pi, grad []float64) (float64, shard.Cost)
+	normRb(b []float64, s *capprox.EvalScratch) (float64, shard.Cost)
+}
+
+// flatOps runs the operators' kernels on the shared worker pool.
+type flatOps struct {
+	g   *graph.Graph
+	apx *capprox.Approximator
+}
+
+func (o flatOps) softMaxGrad(f, scale, grad []float64) (float64, shard.Cost) {
+	return numutil.SoftMaxGradScaledPar(f, scale, grad), shard.Cost{}
+}
+
+func (o flatOps) residual(f, bs, div, r []float64) shard.Cost {
+	o.g.ResidualInto(f, bs, div, r)
+	return shard.Cost{}
+}
+
+func (o flatOps) potentialRT(r []float64, ta float64, s *capprox.EvalScratch, pi []float64) (float64, shard.Cost) {
+	return o.apx.PotentialRT(r, ta, s, pi), shard.Cost{}
+}
+
+func (o flatOps) gradient(w1, invCap []float64, ta float64, pi, grad []float64) (float64, shard.Cost) {
+	return o.g.GradientInto(w1, invCap, ta, pi, grad), shard.Cost{}
+}
+
+func (o flatOps) normRb(b []float64, s *capprox.EvalScratch) (float64, shard.Cost) {
+	return o.apx.NormRbInto(b, s.Sub), shard.Cost{}
+}
+
+// engineOps runs the same kernels on each shard's owned chunks.
+type engineOps struct{ e *shard.Engine }
+
+func (o engineOps) softMaxGrad(f, scale, grad []float64) (float64, shard.Cost) {
+	return o.e.SoftMaxGradScaled(f, scale, grad)
+}
+
+func (o engineOps) residual(f, bs, div, r []float64) shard.Cost {
+	return o.e.Residual(f, bs, div, r)
+}
+
+func (o engineOps) potentialRT(r []float64, ta float64, s *capprox.EvalScratch, pi []float64) (float64, shard.Cost) {
+	return o.e.PotentialRT(r, ta, s.Sub, s.PT, pi)
+}
+
+func (o engineOps) gradient(w1, invCap []float64, ta float64, pi, grad []float64) (float64, shard.Cost) {
+	return o.e.GradientDelta(w1, invCap, ta, pi, grad)
+}
+
+func (o engineOps) normRb(b []float64, s *capprox.EvalScratch) (float64, shard.Cost) {
+	return o.e.NormRb(b, s.Sub)
+}
+
+func (s *Solver) getWS() *workspace {
+	if ws, ok := s.wsPool.Get().(*workspace); ok {
+		return ws
 	}
+	return newWorkspace(s.g, s.apx)
+}
+
+func (s *Solver) putWS(ws *workspace) { s.wsPool.Put(ws) }
+
+// normRb computes ‖Rb‖∞ into a pooled workspace's scratch, charging a
+// measured exchange to ledger.
+func (s *Solver) normRb(b []float64, ledger *congest.Ledger) float64 {
 	ws := s.getWS()
 	defer s.putWS(ws)
-	norm, c := s.eng.NormRb(b, ws.scratch.Sub)
-	if ledger != nil {
+	norm, c := s.ops.normRb(b, ws.scratch)
+	if ledger != nil && c != (shard.Cost{}) {
 		ledger.ChargeExchange("norm-rb", c.Rounds, c.Messages, c.Bytes)
 	}
 	return norm
 }
-
-func (s *Solver) putWS(ws *workspace) { s.wsPool.Put(ws) }
 
 // stTree returns the cached maximum-weight-spanning-tree router.
 func (s *Solver) stTree() (*stRouter, error) {
@@ -208,12 +270,8 @@ func (s *Solver) stTree() (*stRouter, error) {
 }
 
 type workspace struct {
-	g   *graph.Graph
-	apx *capprox.Approximator
-	// eng mirrors Solver.eng (rebound at every checkout); cost
-	// accumulates the measured exchange bill of evals since the last
-	// charge() drain.
-	eng  *shard.Engine
+	// cost accumulates the measured exchange bill of evals since the
+	// last charge() drain.
 	cost shard.Cost
 	// invCap[e] = 1/cap_e, fused into the φ1 soft-max and the gradient
 	// assembly (multiplies instead of divides on the hot path).
@@ -235,7 +293,7 @@ type workspace struct {
 }
 
 func newWorkspace(g *graph.Graph, apx *capprox.Approximator) *workspace {
-	ws := &workspace{g: g, apx: apx, scratch: apx.NewEvalScratch()}
+	ws := &workspace{scratch: apx.NewEvalScratch()}
 	ws.invCap = make([]float64, g.M())
 	for e, ed := range g.Edges() {
 		if ed.Cap == 0 {
@@ -260,56 +318,21 @@ func newWorkspace(g *graph.Graph, apx *capprox.Approximator) *workspace {
 }
 
 // eval computes φ(f), the gradient, and δ = Σ_e cap_e·|grad_e| for the
-// scaled demand bs. The passes are fused (DESIGN.md §5): φ1 evaluates
-// the soft-max directly on f with the 1/cap scaling folded into every
-// chunk pass, and φ2 runs ApplyR → ∇smax → ApplyRᵀ as single per-tree
-// sweeps via capprox.PotentialRT. All reductions combine partials in an
-// order fixed by the problem size alone, so eval is a pure function of
-// (f, bs, alpha) at every worker count.
-func (ws *workspace) eval(f, bs []float64, alpha float64) (phi, delta float64) {
-	if ws.eng != nil {
-		return ws.evalSharded(f, bs, alpha)
-	}
-	g := ws.g
-	edges := g.Edges()
-	// φ1 = smax(C⁻¹f), fused scaling.
-	phi1 := numutil.SoftMaxGradScaledPar(f, ws.invCap, ws.w1)
-
-	// φ2 = smax(2α·R·r), r = bs − Div(f), with π = Rᵀ·∇smax fused in.
-	g.DivergenceInto(f, ws.div)
-	par.For(g.N(), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			ws.r[v] = bs[v] - ws.div[v]
-		}
-	})
-	phi2 := ws.apx.PotentialRT(ws.r, 2*alpha, ws.scratch, ws.pi)
-
-	delta = par.Sum(g.M(), func(lo, hi int) float64 {
-		d := 0.0
-		for e := lo; e < hi; e++ {
-			ed := edges[e]
-			gr := ws.w1[e]*ws.invCap[e] + 2*alpha*(ws.pi[ed.V]-ws.pi[ed.U])
-			ws.grad[e] = gr
-			d += float64(ed.Cap) * math.Abs(gr)
-		}
-		return d
-	})
-	return phi1 + phi2, delta
-}
-
-// evalSharded is eval on the message-passing engine: the same four
-// operators as sequences of barrier-synchronized supersteps with
-// boundary exchange, bit-identical results, and the measured
-// rounds/messages/bytes accumulated into ws.cost for charge() to
-// drain into the ledger.
-func (ws *workspace) evalSharded(f, bs []float64, alpha float64) (phi, delta float64) {
-	e := ws.eng
-	phi1, c := e.SoftMaxGradScaled(f, ws.invCap, ws.w1)
+// scaled demand bs on the solver's substrate, adding the measured
+// exchange to ws.cost for charge() to drain into the ledger. The passes
+// are fused (DESIGN.md §5): φ1 evaluates the soft-max directly on f
+// with the 1/cap scaling folded into every chunk pass, and φ2 runs
+// ApplyR → ∇smax → ApplyRᵀ as single per-tree sweeps. All reductions
+// combine partials in an order fixed by the problem size alone, so eval
+// is a pure function of (f, bs, alpha) at every worker count and shard
+// count.
+func (s *Solver) eval(ws *workspace, f, bs []float64, alpha float64) (phi, delta float64) {
+	phi1, c := s.ops.softMaxGrad(f, ws.invCap, ws.w1)
 	ws.cost.Add(c)
-	ws.cost.Add(e.Residual(f, bs, ws.div, ws.r))
-	phi2, c := e.PotentialRT(ws.r, 2*alpha, ws.scratch.Sub, ws.scratch.PT, ws.pi)
+	ws.cost.Add(s.ops.residual(f, bs, ws.div, ws.r))
+	phi2, c := s.ops.potentialRT(ws.r, 2*alpha, ws.scratch, ws.pi)
 	ws.cost.Add(c)
-	delta, c = e.GradientDelta(ws.w1, ws.invCap, 2*alpha, ws.pi, ws.grad)
+	delta, c = s.ops.gradient(ws.w1, ws.invCap, 2*alpha, ws.pi, ws.grad)
 	ws.cost.Add(c)
 	return phi1 + phi2, delta
 }
@@ -541,7 +564,7 @@ func (s *Solver) almostRouteFixedAlpha(ctx context.Context, b []float64, eps, al
 	k := 0
 	useMomentum := false
 
-	phi, delta := ws.eval(f, bs, alpha)
+	phi, delta := s.eval(ws, f, bs, alpha)
 	charge := func() {
 		measured := ws.cost
 		ws.cost = shard.Cost{}
@@ -601,7 +624,7 @@ func (s *Solver) almostRouteFixedAlpha(ctx context.Context, b []float64, eps, al
 				}
 			})
 			sigma *= 17.0 / 16
-			phi, delta = ws.eval(f, bs, alpha)
+			phi, delta = s.eval(ws, f, bs, alpha)
 			charge()
 		}
 		if delta < eps/4 {
@@ -651,7 +674,7 @@ func (s *Solver) almostRouteFixedAlpha(ctx context.Context, b []float64, eps, al
 					}
 				})
 			}
-			phiTry, deltaTry := ws.eval(fTry, bs, alpha)
+			phiTry, deltaTry := s.eval(ws, fTry, bs, alpha)
 			charge()
 			iters++
 			if iters > maxIters {
