@@ -166,11 +166,14 @@ type Options struct {
 	// many shard goroutines exchanging typed messages under a
 	// synchronous round barrier (internal/shard, DESIGN.md §13), and
 	// reports measured rounds/messages/bytes on results and ledgers.
-	// Flow values and vectors are bit-identical to the
-	// single-address-space path at every shard and worker count; what
-	// changes is the execution substrate and the measured-complexity
-	// telemetry. 0 (the default) disables sharding; the valid range is
-	// [0, 64]. Routers with Shards > 0 hold goroutines until Close.
+	// An engine runs at most as many shards as the graph's vertex or
+	// edge range has par chunks (2048 elements each); with one shard it
+	// runs every superstep on the calling goroutine. Flow values and
+	// vectors are bit-identical to the single-address-space path at
+	// every shard and worker count; what changes is the execution
+	// substrate and the measured-complexity telemetry. 0 (the default)
+	// disables sharding; the valid range is [0, 64]. Routers whose
+	// engine runs more than one shard hold goroutines until Close.
 	Shards int
 	// RollingRefreshK enables rolling tree refresh under sustained
 	// churn: every K-th effective UpdateTopology batch additionally
@@ -232,12 +235,15 @@ type Result struct {
 	RoundsByPhase map[string]int64
 	// MeasuredRounds is the subset of Rounds executed as actual engine
 	// supersteps rather than charged analytically — 0 unless
-	// Options.Shards enabled the sharded engine (DESIGN.md §13).
+	// Options.Shards enabled the sharded engine (DESIGN.md §13). It is
+	// the same at every shard count, one shard included.
 	MeasuredRounds int64
 	// Messages and Bytes are the measured cross-shard message and
 	// payload-byte totals of the computation — 0 unless Options.Shards
 	// enabled the sharded engine, which counts every nonempty
-	// inter-shard payload it ships (DESIGN.md §13).
+	// inter-shard payload it ships (DESIGN.md §13). They are 0 as well
+	// when the engine runs one shard, as it does on a graph whose
+	// vertices and edges each fit one par chunk.
 	Messages int64
 	Bytes    int64
 }

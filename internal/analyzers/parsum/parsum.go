@@ -8,9 +8,9 @@
 // source of run-to-run last-bit drift.
 //
 // The analyzer flags, inside any function literal passed to par.For /
-// par.Do / par.Sum / par.Max, compound float assignments (+=, -=, *=,
-// /=, or x = x ⊕ ...) whose target is declared outside the literal —
-// a plain variable or a struct field. Writes through an index
+// par.Do / par.DoSized / par.Sum / par.Max, compound float assignments
+// (+=, -=, *=, /=, or x = x ⊕ ...) whose target is declared outside the
+// literal — a plain variable or a struct field. Writes through an index
 // expression (out[i] += v) are exempt: chunks own disjoint index
 // ranges, so indexed accumulation is deterministic.
 package parsum
@@ -28,7 +28,7 @@ const parPath = "distflow/internal/par"
 
 // poolEntry lists the par entry points whose callbacks run on worker
 // goroutines.
-var poolEntry = map[string]bool{"For": true, "Do": true, "Sum": true, "Max": true}
+var poolEntry = map[string]bool{"For": true, "Do": true, "DoSized": true, "Sum": true, "Max": true}
 
 // Analyzer is the parsum pass.
 var Analyzer = &framework.Analyzer{

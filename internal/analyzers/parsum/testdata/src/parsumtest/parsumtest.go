@@ -30,6 +30,17 @@ func BadSelfAssign(xs []float64) float64 {
 	return a.sum
 }
 
+// BadTreeSum accumulates onto a captured scalar from a per-tree region,
+// which runs on the pool once the trees together span more than one
+// chunk.
+func BadTreeSum(trees [][]float64, n int) float64 {
+	total := 0.0
+	par.DoSized(len(trees), n, func(k int) {
+		total += trees[k][0] // want `float accumulation onto captured "total"`
+	})
+	return total
+}
+
 // GoodSum returns chunk partials through the pool's ordered reduction.
 func GoodSum(xs []float64) float64 {
 	return par.Sum(len(xs), func(lo, hi int) float64 {

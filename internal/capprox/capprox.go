@@ -186,7 +186,11 @@ func (a *Approximator) remeasure() {
 	if len(a.treeMax) != len(a.Trees) {
 		a.treeMax = make([]ratioMax, len(a.Trees))
 	}
-	par.Do(len(a.Trees), func(k int) {
+	n := 0
+	if len(a.Trees) > 0 {
+		n = a.Trees[0].N()
+	}
+	par.DoSized(len(a.Trees), n, func(k int) {
 		a.treeMax[k] = measureTreeRatios(a.Trees[k], a.CutCap[k])
 	})
 	a.combineAlpha()
@@ -293,7 +297,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (
 	a.CutCap = make([][]float64, trees)
 	a.Scale = make([][]float64, trees)
 	cutcapSec := make([]float64, trees)
-	par.Do(trees, func(k int) {
+	par.DoSized(trees, n, func(k int) {
 		treeStart := time.Now() //distflow:allow detrand build-phase timing stat only; never feeds results
 		t := a.Trees[k]
 		cc := treeFlowPooled(t, pairs, nil)
@@ -395,7 +399,7 @@ func (a *Approximator) UpdateCapacities(g *graph.Graph, cfg Config, edits []CapD
 	// Per-tree dirty work (also builds each tree's cached LCA tables,
 	// tree-parallel, on the first update).
 	work := make([]int, len(a.Trees))
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), n, func(k int) {
 		work[k] = a.Trees[k].PathWork(dedits)
 	})
 	budget := frac * float64(n+g.M())
@@ -412,7 +416,7 @@ func (a *Approximator) UpdateCapacities(g *graph.Graph, cfg Config, edits []CapD
 		// At least one tree re-sweeps: materialize the edge list once.
 		pairs = livePairs(g)
 	}
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), n, func(k int) {
 		if sweep[k] {
 			a.treeMax[k], _ = refreshTree(a.Trees[k], pairs, a.CutCap[k], a.Scale[k], cfg, n, nil)
 			return
@@ -459,7 +463,7 @@ func (a *Approximator) RefreshCapacities(g *graph.Graph, cfg Config) {
 	if len(a.treeMax) != len(a.Trees) {
 		a.treeMax = make([]ratioMax, len(a.Trees))
 	}
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), n, func(k int) {
 		a.treeMax[k], _ = refreshTree(a.Trees[k], pairs, a.CutCap[k], a.Scale[k], cfg, n, nil)
 	})
 	a.combineAlpha()
@@ -804,7 +808,7 @@ func (a *Approximator) ApplyRInto(b []float64, out [][]float64) [][]float64 {
 	if len(out) != len(a.Trees) {
 		panic("capprox: output tree count mismatch")
 	}
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), len(b), func(k int) {
 		t := a.Trees[k]
 		RowScale(t.SubtreeSumsInto(b, out[k]), a.Scale[k], t.Root, 1, 0, t.N())
 	})
@@ -838,7 +842,7 @@ func (a *Approximator) ApplyRTInto(p [][]float64, out []float64, scratch [][]flo
 	if len(scratch) != len(a.Trees) {
 		panic("capprox: scratch tree count mismatch")
 	}
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), len(out), func(k int) {
 		t := a.Trees[k]
 		RowPrep(scratch[k], p[k], a.Scale[k], t.Root, 1, 0, t.N())
 		t.RootPathSumsInto(scratch[k], scratch[k])
@@ -912,7 +916,7 @@ func (a *Approximator) PotentialRT(r []float64, ta float64, s *EvalScratch, pi [
 	}
 	// Pass 1: per-tree subtree sums, scaled to y = ta·(Σ_subtree r)/Scale,
 	// tracking the per-tree max |y| for the shifted exponentials.
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), len(pi), func(k int) {
 		t := a.Trees[k]
 		s.tm[k] = RowScale(t.SubtreeSumsInto(r, s.Sub[k]), a.Scale[k], t.Root, ta, 0, t.N())
 	})
@@ -925,7 +929,7 @@ func (a *Approximator) PotentialRT(r []float64, ta float64, s *EvalScratch, pi [
 	// Pass 2: shifted exponential sums per chunk of the canonical
 	// par.Grid — the chunks a shard owns whole — with the gradient
 	// numerators overwriting y in place.
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), len(pi), func(k int) {
 		t := a.Trees[k]
 		size, count := par.Grid(t.N())
 		for c := 0; c < count; c++ {
@@ -937,7 +941,7 @@ func (a *Approximator) PotentialRT(r []float64, ta float64, s *EvalScratch, pi [
 	// Pass 3: π = Rᵀ·∇smax — the 1/sum normalization and the row scaling
 	// fold into the top-down sweeps, then the per-vertex accumulation
 	// combines trees in fixed order.
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), len(pi), func(k int) {
 		t := a.Trees[k]
 		RowPrep(s.PT[k], s.Sub[k], a.Scale[k], t.Root, inv, 0, t.N())
 		t.RootPathSumsInto(s.PT[k], s.PT[k])
@@ -964,7 +968,7 @@ func (a *Approximator) NormRbInto(b []float64, sub [][]float64) float64 {
 		panic("capprox: scratch tree count mismatch")
 	}
 	tm := make([]float64, len(a.Trees))
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), len(b), func(k int) {
 		t := a.Trees[k]
 		tm[k] = RowScale(t.SubtreeSumsInto(b, sub[k]), a.Scale[k], t.Root, 1, 0, t.N())
 	})
@@ -980,8 +984,9 @@ func (a *Approximator) NormRbInto(b []float64, sub [][]float64) float64 {
 // The R-row kernels: the per-slot passes of R and Rᵀ over one vertex
 // range [lo,hi) of a tree with root root and row scaling scale. Slot
 // root and zero-scale slots are not rows of R. The flat path runs them
-// over whole trees, tree-parallel; internal/shard runs them over each
-// shard's vertex chunks and folds the partials as the flat path does.
+// over whole trees, tree-parallel unless all trees together fit one
+// chunk (par.DoSized); internal/shard runs them over each shard's
+// vertex chunks and folds the partials as the flat path does.
 
 // RowScale overwrites the subtree sums y[v] over [lo,hi) with the row
 // values ta·y[v]/scale[v] (0 off the rows) and returns their largest

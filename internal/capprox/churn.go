@@ -352,10 +352,11 @@ func (a *Approximator) UpdateTopology(g *graph.Graph, cfg Config, d TopoDelta) (
 		a.remeasure()
 	}
 	grow := len(d.NewVertices)
+	n := g.N()
 	// Extend every tree by the batch's new leaves (tree-parallel; the
 	// cached LCA tables extend in O(log n) per leaf). Cut and virtual
 	// capacities start at 0 and are built up by the link deltas below.
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), n, func(k int) {
 		t := a.Trees[k]
 		for _, nv := range d.NewVertices {
 			if id := t.AddLeaf(nv.Anchor, 0); id != nv.ID {
@@ -367,7 +368,6 @@ func (a *Approximator) UpdateTopology(g *graph.Graph, cfg Config, d TopoDelta) (
 			a.Scale[k] = append(a.Scale[k], make([]float64, grow)...)
 		}
 	})
-	n := g.N()
 	dedits := make([]vtree.DeltaEdit, len(d.Deltas))
 	for i, ed := range d.Deltas {
 		dedits[i] = vtree.DeltaEdit{U: ed.U, V: ed.V, Diff: ed.Diff}
@@ -380,7 +380,7 @@ func (a *Approximator) UpdateTopology(g *graph.Graph, cfg Config, d TopoDelta) (
 		frac = 0.25
 	}
 	work := make([]int, len(a.Trees))
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), n, func(k int) {
 		work[k] = a.Trees[k].PathWork(dedits)
 	})
 	budget := frac * float64(n+g.M())
@@ -411,7 +411,7 @@ func (a *Approximator) UpdateTopology(g *graph.Graph, cfg Config, d TopoDelta) (
 		}
 	}
 	shifts := make([]float64, len(a.Trees))
-	par.Do(len(a.Trees), func(k int) {
+	par.DoSized(len(a.Trees), n, func(k int) {
 		if sweep[k] {
 			a.treeMax[k], shifts[k] = refreshTree(a.Trees[k], pairs, a.CutCap[k], a.Scale[k], cfg, freshFrom, skipShift)
 			return
@@ -533,7 +533,7 @@ func (a *Approximator) ResampleTreesCtx(ctx context.Context, g *graph.Graph, cfg
 		a.Stats.SampleSeconds += outs[i].seconds
 	}
 	pairs := livePairs(g)
-	par.Do(len(ks), func(i int) {
+	par.DoSized(len(ks), n, func(i int) {
 		k := ks[i]
 		t := a.Trees[k]
 		cc := treeFlowPooled(t, pairs, make([]float64, n))

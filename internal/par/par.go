@@ -220,8 +220,9 @@ func For(n int, body func(lo, hi int)) {
 }
 
 // Do runs body(i) for every i in [0,n) in parallel, one task per index.
-// Intended for coarse-grained units (whole trees, whole queries) where
-// per-index dispatch overhead is negligible.
+// Intended for coarse-grained units (whole queries, whole tree samples)
+// where per-index dispatch overhead is negligible; DoSized drops the
+// pool for units too small to pay for it.
 func Do(n int, body func(i int)) {
 	if n <= 0 {
 		return
@@ -234,6 +235,21 @@ func Do(n int, body func(i int)) {
 		return
 	}
 	runChunked(n, 1, n, func(i, _, _ int) { body(i) })
+}
+
+// DoSized is Do over n units of size elements each (per-tree passes
+// over trees of size vertices, say). When the units together span at
+// most one chunk — Sequential(n·size), the rule For applies to a range —
+// they run inline on the caller, because handing so little work to the
+// pool costs more than the work.
+func DoSized(n, size int, body func(i int)) {
+	if !Sequential(n * size) {
+		Do(n, body)
+		return
+	}
+	for i := 0; i < n; i++ {
+		body(i)
+	}
 }
 
 // partialPool recycles the per-chunk partial buffers of Sum and Max.

@@ -40,7 +40,8 @@ type shardState struct {
 	// fMirror/piMirror hold received boundary values of non-owned
 	// edges/vertices plus a copy of the owned ones (see exchange). Only
 	// slots named by the static exchange lists or owned are ever valid;
-	// tests poison the rest to prove the access discipline.
+	// tests poison the rest to prove the access discipline. A one-shard
+	// engine receives nothing and has neither.
 	fMirror  []float64
 	piMirror []float64
 	// view is the local view of the last exchange, read by the next
@@ -48,7 +49,7 @@ type shardState struct {
 	view []float64
 
 	// recvBufs indexes the current superstep's received value buffers
-	// by source shard (reused across supersteps).
+	// by source shard (reused across supersteps; nil when P = 1).
 	recvBufs [][]float64
 
 	msgs, bytes int64
@@ -60,12 +61,15 @@ func (s *shardState) resetOut() {
 	}
 }
 
-// Engine runs P shard goroutines over a partitioned graph and a set of
-// virtual trees, executing solver operators as sequences of
-// barrier-synchronized supersteps. One operation runs at a time
-// (engine.mu); concurrent callers serialize, which preserves the
-// per-query determinism contract because every operation's result is a
-// pure function of its inputs.
+// Engine runs solver operators over a partitioned graph and a set of
+// virtual trees as sequences of barrier-synchronized supersteps, on P
+// shards. With P > 1 each shard is a goroutine and the supersteps
+// exchange messages over a channel mesh; a one-shard engine runs every
+// superstep on the caller's goroutine, with no goroutines, channels,
+// barrier or mirrors. One operation runs at a time (engine.mu);
+// concurrent callers serialize, which preserves the per-query
+// determinism contract because every operation's result is a pure
+// function of its inputs.
 type Engine struct {
 	// g is finalized and compacted at construction; the kernels read it
 	// without finalizing, so shard goroutines never trigger a lazy
@@ -78,6 +82,7 @@ type Engine struct {
 
 	mu sync.Mutex
 
+	// cmd, done, mesh and sched exist only when P > 1.
 	cmd  []chan func(s *shardState)
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -108,55 +113,39 @@ type Engine struct {
 }
 
 // coord is the fixed coordinator shard for gather/broadcast steps. It
-// may own no chunks (P > chunk count); it still folds the partials.
+// may own no chunk of one kind (say, no vertex chunk when the edges
+// span more chunks than the vertices); it still folds the partials.
 const coord = 0
 
-// NewEngine partitions g's vertices and edges across p shards and
+// NewEngine partitions g's vertices and edges across the shards and
 // precomputes the boundary exchange lists and level-synchronous sweep
-// schedules for the supplied trees (with their row scalings). The
-// graph and trees must be immutable for the engine's lifetime — the
-// epoch system guarantees that for published snapshots.
+// schedules for the supplied trees (with their row scalings). Of the p
+// shards asked for it runs at most as many as the larger of g's vertex
+// and edge grids has chunks (see activeShards); Shards reports the
+// count. The graph and trees must be immutable for the engine's
+// lifetime — the epoch system guarantees that for published snapshots.
 func NewEngine(g *graph.Graph, trees []*vtree.VTree, scale [][]float64, p int) (*Engine, error) {
 	g.Finalize()
 	g.Compact()
-	part, err := NewPartition(g.N(), g.M(), p)
+	part, err := NewPartition(g.N(), g.M(), activeShards(g.N(), g.M(), p))
 	if err != nil {
 		return nil, err
 	}
+	p = part.P
 	e := &Engine{
 		g:     g,
 		trees: trees,
 		scale: scale,
 		part:  part,
 		P:     p,
-		cmd:   make([]chan func(s *shardState), p),
-		done:  make(chan struct{}, p),
-		mesh:  make([][]chan []float64, p),
 		sh:    make([]*shardState, p),
 	}
-	for i := 0; i < p; i++ {
-		e.cmd[i] = make(chan func(s *shardState))
-		e.mesh[i] = make([]chan []float64, p)
-		for j := 0; j < p; j++ {
-			if j != i {
-				e.mesh[i][j] = make(chan []float64, 1)
-			}
-		}
-		e.sh[i] = &shardState{
-			id:       i,
-			outVals:  make([][]float64, p),
-			fMirror:  make([]float64, g.M()),
-			piMirror: make([]float64, g.N()),
-			recvBufs: make([][]float64, p),
-		}
+	for i := range e.sh {
+		e.sh[i] = &shardState{id: i, outVals: make([][]float64, p)}
 	}
 	e.buildBoundary()
-	e.sched = make([]*sweepSched, len(trees))
-	for k, t := range trees {
-		e.sched[k] = buildSweepSched(t, part)
-		if h := e.sched[k].H; h > e.maxH {
-			e.maxH = h
-		}
+	for _, t := range trees {
+		e.maxH = max(e.maxH, t.Height())
 	}
 	np := part.VertChunks
 	if tp := len(trees) * part.VertChunks; tp > np {
@@ -166,20 +155,49 @@ func NewEngine(g *graph.Graph, trees []*vtree.VTree, scale [][]float64, p int) (
 		np = part.EdgeChunks
 	}
 	e.partials = make([]float64, np)
-	for i := 0; i < p; i++ {
-		e.wg.Add(1)
-		go e.loop(i)
+	if p > 1 {
+		e.spawn()
 	}
 	return e, nil
 }
 
-// Shards returns the number of shards.
+// spawn gives a multi-shard engine what exchanging messages takes: the
+// shards' mirrors and receive buffers, the per-tree sweep schedules, the
+// command and mesh channels, and one goroutine per shard.
+func (e *Engine) spawn() {
+	p := e.P
+	e.cmd = make([]chan func(s *shardState), p)
+	e.done = make(chan struct{}, p)
+	e.mesh = make([][]chan []float64, p)
+	for i, s := range e.sh {
+		e.cmd[i] = make(chan func(s *shardState))
+		e.mesh[i] = make([]chan []float64, p)
+		for j := 0; j < p; j++ {
+			if j != i {
+				e.mesh[i][j] = make(chan []float64, 1)
+			}
+		}
+		s.fMirror = make([]float64, e.part.M)
+		s.piMirror = make([]float64, e.part.N)
+		s.recvBufs = make([][]float64, p)
+	}
+	e.sched = make([]*sweepSched, len(e.trees))
+	for k, t := range e.trees {
+		e.sched[k] = buildSweepSched(t, e.part)
+	}
+	for i := 0; i < p; i++ {
+		e.wg.Add(1)
+		go e.loop(i)
+	}
+}
+
+// Shards returns the number of shards the engine runs.
 func (e *Engine) Shards() int { return e.P }
 
 // Partition returns the engine's vertex/edge partition.
 func (e *Engine) Partition() *Partition { return e.part }
 
-// Close stops the shard goroutines. The engine must be idle.
+// Close stops the shard goroutines, if any. The engine must be idle.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		for i := range e.cmd {
@@ -200,16 +218,22 @@ func (e *Engine) loop(id int) {
 }
 
 // round runs one superstep on all shards — fn on every shard's state,
-// its outboxes emptied first — and blocks until every shard reaches the
-// barrier. Shard bodies must not panic: an unwound shard would strand
-// peers blocked on its messages. The operators validate their arguments
-// on the caller's goroutine before the first round (see check).
+// its outboxes emptied first — and returns once every shard reaches the
+// barrier; a one-shard engine runs fn on the caller. Shard goroutines
+// must not panic: an unwound shard would strand peers blocked on its
+// messages. The operators validate their arguments on the caller's
+// goroutine before the first round (see check).
 func (e *Engine) round(c *Cost, fn func(s *shardState)) {
-	for i := 0; i < e.P; i++ {
-		e.cmd[i] <- fn
-	}
-	for i := 0; i < e.P; i++ {
-		<-e.done
+	if e.P == 1 {
+		e.sh[0].resetOut()
+		fn(e.sh[0])
+	} else {
+		for i := 0; i < e.P; i++ {
+			e.cmd[i] <- fn
+		}
+		for i := 0; i < e.P; i++ {
+			<-e.done
+		}
 	}
 	c.Rounds++
 }

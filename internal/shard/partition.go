@@ -1,8 +1,10 @@
 // Package shard executes the solver's per-evaluation operators —
 // soft-max gradient, residual, the R/Rᵀ tree sweeps, edge gradient, and
-// ‖Rb‖∞ — across P shards, each a goroutine with private mirrors of the
+// ‖Rb‖∞ — across P shards under a synchronous round barrier (DESIGN.md
+// §13). With P > 1 each shard is a goroutine with private mirrors of the
 // boundary state it does not own, exchanging messages over a channel
-// mesh under a synchronous round barrier (DESIGN.md §13). The
+// mesh; an engine never runs more shards than the graph has chunks, and
+// a one-shard engine runs every superstep on the caller's goroutine. The
 // arithmetic is not here: each operator runs the kernels of its flat
 // entry point (numutil, graph, capprox) on the chunks a shard owns, and
 // the engine adds ownership, exchange, gather/broadcast, the sweep
@@ -22,7 +24,8 @@
 //   - Tree sweeps run level-synchronously with statically scheduled
 //     application order (descending child position, the sequential
 //     sweep's order), so each accumulator sees the same additions in
-//     the same order.
+//     the same order. A one-shard engine runs the sequential sweeps
+//     themselves.
 package shard
 
 import (
@@ -35,9 +38,12 @@ import (
 // Both splits are aligned to the canonical par.Grid chunk boundaries:
 // a shard owns whole chunks, never a fraction of one, so any chunked
 // reduction the baseline performs can be reproduced exactly from
-// per-shard partials. When there are fewer chunks than shards, the
-// trailing shards own every chunk and the leading shards own nothing —
-// they still participate in every round barrier.
+// per-shard partials. When a grid has fewer chunks than shards, the
+// trailing shards own all of its chunks and the leading shards none.
+// NewEngine never runs more shards than the larger grid has chunks, so
+// each of its shards owns a chunk of at least one kind; the smaller
+// grid can still leave leading shards, the coordinator among them,
+// without vertices or without edges.
 type Partition struct {
 	P    int
 	N, M int
@@ -60,6 +66,10 @@ type Partition struct {
 	edgeOwner []int8 // per edge chunk
 }
 
+// maxShards bounds P: ownership is stored as int8 per chunk and the
+// sweeps' receive masks as one uint64 per level.
+const maxShards = 64
+
 // grid is par.Grid guarded for empty ranges (par reductions never see
 // n <= 0; the partition can, e.g. an edgeless test graph).
 func grid(n int) (size, count int) {
@@ -81,10 +91,24 @@ func splitChunks(count, p int) (lo, hi []int) {
 	return lo, hi
 }
 
+// activeShards returns how many of p requested shards an engine over n
+// vertices and m edges runs: at most one per chunk of the larger of the
+// two grids, because a shard that would own no chunk has nothing to
+// compute. It reads only the graph's size. An out-of-range p is
+// returned as is, for NewPartition to reject.
+func activeShards(n, m, p int) int {
+	_, vc := grid(n)
+	_, ec := grid(m)
+	if c := max(vc, ec, 1); p > c && p <= maxShards {
+		return c
+	}
+	return p
+}
+
 // NewPartition splits n vertices and m edges across p shards.
 func NewPartition(n, m, p int) (*Partition, error) {
-	if p < 1 || p > 64 {
-		return nil, fmt.Errorf("shard: P must be in [1,64], got %d", p)
+	if p < 1 || p > maxShards {
+		return nil, fmt.Errorf("shard: P must be in [1,%d], got %d", maxShards, p)
 	}
 	pt := &Partition{P: p, N: n, M: m}
 	pt.VertSize, pt.VertChunks = grid(n)

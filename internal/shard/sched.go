@@ -19,6 +19,10 @@ import (
 // owns flow through the shard's own outbox (never shipped, never
 // counted), so the apply walk reads every contribution from a buffer
 // with one per-source running counter.
+//
+// A one-shard engine builds no schedule: it runs each tree's sequential
+// SubtreeSumsInto/RootPathSumsInto — the addition order the schedule
+// reproduces — and charges the same maxH rounds per sweep.
 
 // sweepSched is the per-tree schedule; sh[k] is shard k's share.
 type sweepSched struct {
@@ -295,15 +299,32 @@ func (e *Engine) recvMasked(s *shardState, lvl int, up bool) [][]float64 {
 }
 
 // sweepUp runs a full bottom-up sweep (levels maxH…1) over every tree
-// with accumulators acc.
+// with accumulators acc. A one-shard engine runs each tree's sequential
+// sweep in place instead — the additions the level schedule reproduces —
+// and charges the same maxH rounds.
 func (e *Engine) sweepUp(c *Cost, acc [][]float64) {
+	if e.P == 1 {
+		for k, t := range e.trees {
+			t.SubtreeSumsInto(acc[k], acc[k])
+		}
+		c.Rounds += int64(e.maxH)
+		return
+	}
 	for lvl := e.maxH; lvl >= 1; lvl-- {
 		e.round(c, func(s *shardState) { e.sweepUpLevel(s, lvl, acc) })
 	}
 }
 
-// sweepDn runs a full top-down sweep (levels 1…maxH).
+// sweepDn runs a full top-down sweep (levels 1…maxH), sequentially per
+// tree on a one-shard engine, as sweepUp does.
 func (e *Engine) sweepDn(c *Cost, acc [][]float64) {
+	if e.P == 1 {
+		for k, t := range e.trees {
+			t.RootPathSumsInto(acc[k], acc[k])
+		}
+		c.Rounds += int64(e.maxH)
+		return
+	}
 	for lvl := 1; lvl <= e.maxH; lvl++ {
 		e.round(c, func(s *shardState) { e.sweepDnLevel(s, lvl, acc) })
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"distflow/internal/capprox"
@@ -387,16 +388,20 @@ func TestRemoteNeighborhood(t *testing.T) {
 	}
 }
 
-// TestMoreShardsThanChunks pins the other satellite edge case: a graph
-// small enough that every vertex fits one chunk while P=8 shards spin.
-// The trailing shard owns everything; the coordinator (shard 0) owns
-// nothing and still folds the reductions.
+// TestMoreShardsThanChunks pins the other edge case: more
+// shards than vertex chunks. At P=8 the fixture's 5000 vertices span
+// three chunks and its edges eight, so all eight shards run; the
+// trailing shards own every vertex, and the coordinator (shard 0) owns
+// none and still folds the reductions.
 func TestMoreShardsThanChunks(t *testing.T) {
-	fx := newFixture(t, 150, 2, 10)
+	fx := newFixture(t, 5000, 2, 10)
 	const p = 8
 	e := fx.engine(t, p)
+	if e.Shards() != p {
+		t.Fatalf("engine runs %d shards, want %d", e.Shards(), p)
+	}
 	if e.Partition().VertCount(0) != 0 {
-		t.Fatal("expected an empty coordinator shard")
+		t.Fatal("expected a coordinator shard without vertices")
 	}
 	f := fx.randEdgeVec()
 	sc := make([]float64, fx.g.M())
@@ -427,6 +432,99 @@ func TestMoreShardsThanChunks(t *testing.T) {
 
 	gotNorm, _ := e.NormRb(b, sub)
 	sameF64(t, "tiny normRb", gotNorm, fx.apx.NormRb(b))
+}
+
+// settledGoroutines returns runtime.NumGoroutine once the count has
+// stopped falling. Close returns when every shard goroutine has called
+// wg.Done, but they may not have exited yet; the engines of earlier tests
+// would otherwise leave the count moving under a measurement. A goroutine
+// that an engine starts and parks never exits, so settling cannot hide
+// it.
+func settledGoroutines() int {
+	n, stable := runtime.NumGoroutine(), 0
+	for i := 0; stable < 10 && i < 100000; i++ {
+		runtime.Gosched()
+		if m := runtime.NumGoroutine(); m != n {
+			n, stable = m, 0
+			continue
+		}
+		stable++
+	}
+	return n
+}
+
+// TestOneChunkRunsInline builds engines asked for P ∈ {2, 8} on a graph
+// whose vertices and edges each fit one chunk. They run one shard on the
+// caller's goroutine: no goroutine is started or left behind, every
+// operator matches the flat kernels bit for bit, and each bill has no
+// messages or bytes and the rounds of an engine built at P = 1.
+func TestOneChunkRunsInline(t *testing.T) {
+	fx := newFixture(t, 150, 2, 13)
+	n, m := fx.g.N(), fx.g.M()
+	f, bs, b := fx.randEdgeVec(), fx.randVertVec(), fx.randVertVec()
+	sc := make([]float64, m)
+	for i := range sc {
+		sc[i] = 0.1 + fx.rng.Float64()
+	}
+	// The flat references come first: their tree passes may start pool
+	// workers, which must not count against the engines.
+	const ta = 1.5
+	wantW1 := make([]float64, m)
+	wantSmax := numutil.SoftMaxGradScaledPar(f, sc, wantW1)
+	wantDiv, wantR := make([]float64, n), make([]float64, n)
+	fx.g.ResidualInto(f, bs, wantDiv, wantR)
+	ws := fx.apx.NewEvalScratch()
+	wantPi := make([]float64, n)
+	wantPhi := fx.apx.PotentialRT(wantR, ta, ws, wantPi)
+	wantGrad := make([]float64, m)
+	wantDelta := fx.g.GradientInto(wantW1, sc, ta, wantPi, wantGrad)
+	wantNorm := fx.apx.NormRbInto(b, ws.Sub)
+
+	run := func(e *Engine) []Cost {
+		w1, grad := make([]float64, m), make([]float64, m)
+		div, r, pi := make([]float64, n), make([]float64, n), make([]float64, n)
+		got := make([]Cost, 5)
+		var v float64
+		v, got[0] = e.SoftMaxGradScaled(f, sc, w1)
+		sameF64(t, "smax", v, wantSmax)
+		sameVec(t, "smax grad", w1, wantW1)
+		got[1] = e.Residual(f, bs, div, r)
+		sameVec(t, "div", div, wantDiv)
+		sameVec(t, "r", r, wantR)
+		v, got[2] = e.PotentialRT(r, ta, ws.Sub, ws.PT, pi)
+		sameF64(t, "phi2", v, wantPhi)
+		sameVec(t, "pi", pi, wantPi)
+		v, got[3] = e.GradientDelta(w1, sc, ta, pi, grad)
+		sameF64(t, "delta", v, wantDelta)
+		sameVec(t, "grad", grad, wantGrad)
+		v, got[4] = e.NormRb(b, ws.Sub)
+		sameF64(t, "normRb", v, wantNorm)
+		return got
+	}
+	want := run(fx.engine(t, 1))
+	for _, p := range []int{2, 8} {
+		before := settledGoroutines()
+		e, err := NewEngine(fx.g, fx.trees, fx.scale, p)
+		if err != nil {
+			t.Fatalf("NewEngine(P=%d): %v", p, err)
+		}
+		if e.Shards() != 1 {
+			t.Fatalf("P=%d: engine runs %d shards on one chunk, want 1", p, e.Shards())
+		}
+		got := run(e)
+		if g := settledGoroutines(); g != before {
+			t.Errorf("P=%d: %d goroutines after the operators, %d before construction", p, g, before)
+		}
+		e.Close()
+		if g := settledGoroutines(); g != before {
+			t.Errorf("P=%d: %d goroutines after Close, %d before construction", p, g, before)
+		}
+		for i, c := range got {
+			if c.Messages != 0 || c.Bytes != 0 || c.Rounds != want[i].Rounds {
+				t.Errorf("P=%d operator %d: cost %+v, want %d rounds and no traffic", p, i, c, want[i].Rounds)
+			}
+		}
+	}
 }
 
 // TestCostAccounting pins the exchange protocol: the exact rounds,

@@ -158,6 +158,9 @@ type Solver struct {
 	stOnce sync.Once
 	st     *stRouter
 	stErr  error
+
+	diamOnce sync.Once
+	diam     int
 }
 
 // NewSolver returns a Solver for (g, apx). Long-lived callers (the
@@ -267,6 +270,14 @@ func (s *Solver) normRb(b []float64, ledger *congest.Ledger) float64 {
 func (s *Solver) stTree() (*stRouter, error) {
 	s.stOnce.Do(func() { s.st, s.stErr = newSTRouter(s.g) })
 	return s.st, s.stErr
+}
+
+// diameter returns the graph's approximate hop diameter, measured on
+// first use: a Solver's graph never changes (epochs fork before they
+// write), so two BFS passes serve every query.
+func (s *Solver) diameter() int {
+	s.diamOnce.Do(func() { s.diam = s.g.DiameterApprox() })
+	return s.diam
 }
 
 type workspace struct {
@@ -445,7 +456,7 @@ func (s *Solver) almostRoute(ctx context.Context, b []float64, eps float64, cfg 
 		return &RouteResult{Flow: make([]float64, g.M()), AlphaUsed: st.alpha}, nil
 	}
 	n := float64(g.N())
-	diameter := g.DiameterApprox()
+	diameter := s.diameter()
 
 	out := &RouteResult{}
 	cur := warm
@@ -962,7 +973,7 @@ func (s *Solver) MaxFlowCtx(ctx context.Context, src, dst int, cfg Config, warm 
 		total[e] += fTree[e]
 	}
 	sq := int64(math.Ceil(math.Sqrt(float64(g.N()))))
-	ledger.ChargeAccounted("residual-tree-routing", int64(g.DiameterApprox())+sq)
+	ledger.ChargeAccounted("residual-tree-routing", int64(s.diameter())+sq)
 
 	cong := g.MaxCongestion(total)
 	if cong == 0 {

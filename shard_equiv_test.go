@@ -1,11 +1,12 @@
 package distflow
 
 // Sharded-execution equivalence: Options.Shards changes the execution
-// substrate (P message-passing shard goroutines, internal/shard) but
-// must not change a single bit of any result. These tests pin that
-// contract end to end through the Router, across shard counts, worker
-// counts, and re-sharding republishes. The CI shard-matrix job runs
-// them under GOMAXPROCS {1,4} × DISTFLOW_SHARDS {1,4} with -race.
+// substrate (internal/shard: P message-passing shard goroutines, or one
+// shard on the caller when the graph fits one chunk) but must not
+// change a single bit of any result. These tests pin that contract end
+// to end through the Router, across shard counts, worker counts, and
+// re-sharding republishes. The CI shard-matrix job runs them under
+// GOMAXPROCS {1,4} × DISTFLOW_SHARDS {1,4} with -race.
 
 import (
 	"math"
@@ -18,7 +19,12 @@ import (
 // matrixShards returns the shard counts to sweep: the built-in ladder
 // plus the CI matrix's DISTFLOW_SHARDS value when set.
 func matrixShards(t *testing.T) []int {
-	ps := []int{1, 2, 4, 8}
+	return withEnvShards(t, 1, 2, 4, 8)
+}
+
+// withEnvShards returns ps plus the CI matrix's DISTFLOW_SHARDS value
+// when set.
+func withEnvShards(t *testing.T, ps ...int) []int {
 	if s := os.Getenv("DISTFLOW_SHARDS"); s != "" {
 		p, err := strconv.Atoi(s)
 		if err != nil || p < 1 || p > 64 {
@@ -29,9 +35,15 @@ func matrixShards(t *testing.T) []int {
 	return ps
 }
 
-func shardTestGraph(seed int64) *Graph {
+// shardTestGraph is a 600-vertex random graph. Its vertices and its
+// ~1800 edges each fit one par chunk, so every engine over it runs one
+// shard on the caller.
+func shardTestGraph(seed int64) *Graph { return randomShardGraph(seed, 600) }
+
+// randomShardGraph is a random attachment tree on n vertices plus 2n
+// random edges.
+func randomShardGraph(seed int64, n int) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	const n = 600
 	g := NewGraph(n)
 	for v := 1; v < n; v++ {
 		g.AddEdge(v, rng.Intn(v), 1+rng.Int63n(50))
@@ -87,11 +99,13 @@ func TestShardedMaxFlowBitIdentical(t *testing.T) {
 		if res.Rounds <= 0 {
 			t.Errorf("P=%d: no rounds reported", p)
 		}
-		if p > 1 && (res.Messages == 0 || res.Bytes == 0) {
-			t.Errorf("P=%d: no measured traffic (%d msgs, %d bytes)", p, res.Messages, res.Bytes)
+		// One chunk, one shard: the engine measures its supersteps and
+		// ships nothing (TestShardedMultiChunkTraffic covers traffic).
+		if res.MeasuredRounds <= 0 {
+			t.Errorf("P=%d: no measured rounds — the query did not run on the engine", p)
 		}
-		if p == 1 && res.Messages != 0 {
-			t.Errorf("P=1: measured %d messages, want 0 (single shard never ships)", res.Messages)
+		if res.Messages != 0 || res.Bytes != 0 {
+			t.Errorf("P=%d: measured traffic (%d msgs, %d bytes) on a one-chunk graph, want none", p, res.Messages, res.Bytes)
 		}
 		r.Close()
 	}
@@ -209,7 +223,101 @@ func TestShardedUpdatePublish(t *testing.T) {
 		t.Errorf("post-update value %v, want %v", res.Value, want.Value)
 	}
 	bitEqual(t, "post-update flow", res.Flow, want.Flow)
-	if res.Messages == 0 {
-		t.Error("post-update sharded query reports no traffic — engine not rebuilt at publish?")
+	if res.MeasuredRounds <= 0 {
+		t.Error("post-update sharded query reports no measured rounds — engine not rebuilt at publish?")
+	}
+	if res.Messages != 0 || res.Bytes != 0 {
+		t.Errorf("post-update query on a one-chunk graph measured traffic (%d msgs, %d bytes), want none", res.Messages, res.Bytes)
+	}
+}
+
+// TestShardedMultiChunkTraffic is the bit-identity check on a graph that
+// spans two vertex chunks and four edge chunks, so engines asked for
+// P = 2 and P = 4 run every shard and exchange messages through the
+// Router: values, flows, rounds and measured rounds match the unsharded
+// answer and each other, and the traffic is real.
+func TestShardedMultiChunkTraffic(t *testing.T) {
+	const n = 2200
+	g0 := randomShardGraph(21, n)
+	base, err := NewRouter(g0, Options{Seed: 3, DisableWarmStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := base.MaxFlow(0, n-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := withEnvShards(t, 2, 4)
+	var first *Result
+	for _, p := range ps {
+		g := randomShardGraph(21, n)
+		r, err := NewRouter(g, Options{Seed: 3, DisableWarmStart: true, Shards: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.MaxFlow(0, n-1)
+		r.Close()
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+		if math.Float64bits(res.Value) != math.Float64bits(want.Value) {
+			t.Errorf("P=%d: value %v, want %v (bitwise)", p, res.Value, want.Value)
+		}
+		bitEqual(t, "flow", res.Flow, want.Flow)
+		if p > 1 && (res.Messages == 0 || res.Bytes == 0) {
+			t.Errorf("P=%d: no measured traffic (%d msgs, %d bytes)", p, res.Messages, res.Bytes)
+		}
+		if first == nil {
+			first = res
+		} else if res.Rounds != first.Rounds || res.MeasuredRounds != first.MeasuredRounds {
+			t.Errorf("P=%d: rounds %d (measured %d), want %d (%d) as at P=%d",
+				p, res.Rounds, res.MeasuredRounds, first.Rounds, first.MeasuredRounds, ps[0])
+		}
+	}
+}
+
+// TestGridCorridorRounds pins the charged and measured rounds of
+// perfbench's grid-churn instance — the 16×16 grid with capacities drawn
+// from seed 3, on a 2-shard router — over its four corridors on the
+// initial epoch. The grid fits one chunk, so its engine runs one shard
+// on the caller; the values come from an engine that ran both shards as
+// goroutines, and the one-shard bill must match them.
+func TestGridCorridorRounds(t *testing.T) {
+	const side, mid = 16, 8
+	rng := rand.New(rand.NewSource(3))
+	g := NewGraph(side * side)
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			v := y*side + x
+			if x+1 < side {
+				g.AddEdge(v, v+1, 1+rng.Int63n(64))
+			}
+			if y+1 < side {
+				g.AddEdge(v, v+side, 1+rng.Int63n(64))
+			}
+		}
+	}
+	r, err := NewRouter(g, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, c := range []struct {
+		s, t                   int
+		rounds, measuredRounds int64
+	}{
+		{mid * side, mid*side + side - 1, 596485, 22411},
+		{mid, (side-1)*side + mid, 567636, 21306},
+		{0, side*side - 1, 662668, 24946},
+		{side - 1, (side - 1) * side, 4820898, 184776},
+	} {
+		res, err := r.MaxFlow(c.s, c.t)
+		if err != nil {
+			t.Fatalf("%d→%d: %v", c.s, c.t, err)
+		}
+		if res.Rounds != c.rounds || res.MeasuredRounds != c.measuredRounds {
+			t.Errorf("%d→%d: rounds %d (measured %d), want %d (%d)",
+				c.s, c.t, res.Rounds, res.MeasuredRounds, c.rounds, c.measuredRounds)
+		}
 	}
 }
