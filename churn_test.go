@@ -450,7 +450,8 @@ func TestUpdateTopologyComposesWithUpdateCapacities(t *testing.T) {
 
 // FuzzUpdateTopology drives a router through arbitrary structural edit
 // scripts decoded from raw bytes. Valid batches must keep the Dinic
-// bound; invalid ones must error without corrupting the router.
+// bound and the answer's certificate (Value·CertBound ≥ OPT); invalid
+// ones must error without corrupting the router.
 func FuzzUpdateTopology(f *testing.F) {
 	f.Add([]byte{6, 3, 5, 7, 0, 2, 9, 1, 3, 4, 8, 8, 8})
 	f.Add([]byte{4, 1, 1, 2, 250, 0, 9, 30, 31, 32, 33})
@@ -508,12 +509,16 @@ func FuzzUpdateTopology(f *testing.F) {
 		if res.Value < float64(exact)/((1+eps)*(1+eps))-1e-9 {
 			t.Fatalf("value %v below (1+ε)² bound of %d", res.Value, exact)
 		}
+		if float64(exact) > res.Value*res.CertBound*(1+1e-9) {
+			t.Fatalf("certificate violated: exact %d > value %v × bound %v", exact, res.Value, res.CertBound)
+		}
 	})
 }
 
 // FuzzUpdateCapacities drives fuzzed capacity-edit batches through a
-// shared router and holds every query to the Dinic bound (the fuzz
-// companion of TestUpdateCapacitiesAgreesWithDinic).
+// shared router and holds every query to the Dinic bound and its
+// certificate (the fuzz companion of
+// TestUpdateCapacitiesAgreesWithDinic).
 func FuzzUpdateCapacities(f *testing.F) {
 	f.Add([]byte{5, 3, 5, 7, 0, 2, 9, 1, 3, 4})
 	f.Add([]byte{8, 1, 1, 1, 1, 1, 7, 3, 2, 6, 8, 90, 4})
@@ -546,6 +551,9 @@ func FuzzUpdateCapacities(f *testing.F) {
 		if res.Value > float64(exact)*1.0001 ||
 			res.Value < float64(exact)/((1+eps)*(1+eps))-1e-9 {
 			t.Fatalf("value %v outside bounds of exact %d", res.Value, exact)
+		}
+		if float64(exact) > res.Value*res.CertBound*(1+1e-9) {
+			t.Fatalf("certificate violated: exact %d > value %v × bound %v", exact, res.Value, res.CertBound)
 		}
 	})
 }

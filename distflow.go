@@ -205,10 +205,11 @@ type Result struct {
 	// Restarts counts potential-monotonicity restarts of the accelerated
 	// stepper's momentum sequence (DESIGN.md §5).
 	Restarts int
-	// Escalations counts quality escalations: re-solves at a boosted α
-	// after the measured residual certificate caught the congestion
-	// approximator under-serving this query (DESIGN.md §8; 0 on
-	// healthy queries).
+	// Escalations counts quality escalations: further attempts at a
+	// boosted α, each starting from the flow of the attempt before it,
+	// made when an attempt's rounds stalled with neither the residual
+	// test nor an s-t cut certificate met — the congestion approximator
+	// under-served this query (DESIGN.md §8; 0 on healthy queries).
 	Escalations int
 	// WarmStarted reports whether this query started from a warm-cache
 	// hit rather than the zero flow.
@@ -222,11 +223,13 @@ type Result struct {
 	// not return identical flows.
 	Degraded bool
 	// CertBound is the measured quality certificate: Value ≥
-	// OPT/CertBound, from the approximator's cut lower bound ‖Rb‖∞ ≤
-	// congestion of any routing (a true cut bound under the default
-	// exact-cut scaling; an estimate under Options.PaperScaling).
-	// Healthy queries sit near 1+ε; degraded answers report however far
-	// the iterate got.
+	// OPT/CertBound, from the smallest s-t cut the solve knows — the
+	// approximator's smallest separating tree cut (a true cut under the
+	// default exact-cut scaling) and, when the solve swept its dual
+	// potential for a cut, the swept cut (DESIGN.md §5, §11). Under
+	// Options.PaperScaling it is a true bound when a sweep ran and an
+	// estimate otherwise. Answers the certificate stopped sit at
+	// ≤ 1 + ε/50; degraded answers report however far the iterate got.
 	CertBound float64
 	// Rounds is the total charged CONGEST rounds (approximator
 	// construction plus flow computation).

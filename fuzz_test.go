@@ -1,9 +1,10 @@
 package distflow
 
 // Property and fuzz tests pinning the solver's contracts on arbitrary
-// small graphs: MaxFlow stays within (1+ε) of the exact Dinic optimum,
-// and RouteDemand always returns an exactly-conserving flow whose
-// reported congestion matches the flow it returns.
+// small graphs: MaxFlow stays within (1+ε) of the exact Dinic optimum
+// and its CertBound bounds OPT/Value, and RouteDemand always returns an
+// exactly-conserving flow whose reported congestion matches the flow it
+// returns.
 
 import (
 	"math"
@@ -67,6 +68,9 @@ func FuzzMaxFlow(f *testing.F) {
 		if res.Value < float64(exact)/((1+eps)*(1+eps))-1e-9 {
 			t.Fatalf("approximate value %v below (1+ε)² bound of exact %d", res.Value, exact)
 		}
+		if float64(exact) > res.Value*res.CertBound*(1+1e-9) {
+			t.Fatalf("certificate violated: exact %d > value %v × bound %v", exact, res.Value, res.CertBound)
+		}
 		// The returned flow must be feasible and realize the value.
 		for e, fe := range res.Flow {
 			_, _, capacity := g.EdgeEndpoints(e)
@@ -90,8 +94,9 @@ func FuzzMaxFlow(f *testing.F) {
 // on arbitrary small graphs: a router with Options.Shards set returns
 // bit-identical values and flow vectors to the single-address-space
 // path, on topologies the generator never curated (multi-edges, tiny
-// n, skewed capacities — including graphs far smaller than one
-// partition chunk, where most shards own nothing).
+// n, skewed capacities). Its graphs have at most 11 vertices, one
+// partition chunk, so every engine here runs one shard on the caller;
+// internal/shard's FuzzEngineOperators fuzzes the multi-shard exchange.
 func FuzzShardEquivalence(f *testing.F) {
 	f.Add([]byte{4, 3, 5, 7, 0, 2, 9, 1, 3, 4}, uint8(2))
 	f.Add([]byte{9, 1, 1, 1, 1, 1, 1, 1, 1, 5, 7, 3, 2, 6, 8}, uint8(4))

@@ -148,7 +148,17 @@ type Approximator struct {
 	diameter int
 	// updWS pools each tree's dirty-path scratch across updates.
 	updWS []vtree.DeltaScratch
+	// exactRows records Config.ExactCuts at Build (see ExactRows).
+	exactRows bool
 }
+
+// ExactRows reports whether R's rows are scaled by the exact G-cut
+// capacities (Config.ExactCuts at Build). Then every row is a real
+// G-cut, ‖Rb‖∞ ≤ opt(b) for every demand b, and 1/‖Rb‖∞ for a unit s-t
+// demand is the smallest tree cut separating s from t — an upper bound
+// on the maximum flow. Under the virtual tree capacities the rows only
+// approximate cuts and neither holds.
+func (a *Approximator) ExactRows() bool { return a.exactRows }
 
 // ratioMax is one tree's measured distortion extrema: the largest
 // overestimate hi = max cap_T/cap_G and underestimate lo = max
@@ -240,7 +250,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Rand) (
 	if trees == 0 {
 		trees = int(math.Ceil(math.Log2(float64(n)+2))) + 1
 	}
-	a := &Approximator{Ledger: congest.NewLedger()}
+	a := &Approximator{Ledger: congest.NewLedger(), exactRows: cfg.ExactCuts}
 	buildStart := time.Now() //distflow:allow detrand build-phase timing stat only; never feeds results
 	diameter := g.DiameterApprox()
 	a.diameter = diameter

@@ -166,6 +166,7 @@ func buildChurned(ctx context.Context, g *graph.Graph, cfg Config, rng *rand.Ran
 		Stats:        ac.Stats,
 		evalSchedule: ac.evalSchedule,
 		diameter:     ac.diameter,
+		exactRows:    ac.exactRows,
 	}
 	for k, tc := range ac.Trees {
 		tf, err := cv.expandTree(tc)

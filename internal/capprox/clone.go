@@ -33,6 +33,7 @@ func (a *Approximator) Clone() *Approximator {
 		evalSchedule: a.evalSchedule,
 		treeMax:      append([]ratioMax(nil), a.treeMax...),
 		diameter:     a.diameter,
+		exactRows:    a.exactRows,
 	}
 	for k, t := range a.Trees {
 		c.Trees[k] = t.Clone()

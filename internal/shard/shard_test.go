@@ -29,7 +29,7 @@ type fixture struct {
 // randTree samples a random attachment tree rooted at 0: each vertex
 // attaches to a uniformly random earlier vertex, yielding O(log n)
 // height with wide levels — the shape the solver's sampled trees have.
-func randTree(t *testing.T, n int, rng *rand.Rand) *vtree.VTree {
+func randTree(t testing.TB, n int, rng *rand.Rand) *vtree.VTree {
 	t.Helper()
 	parent := make([]int, n)
 	capv := make([]float64, n)
@@ -64,7 +64,7 @@ func pathTree(t *testing.T, n int) *vtree.VTree {
 // newFixture builds a connected random graph on n vertices with k
 // random trees and positive row scalings (a few zero-scale slots to
 // exercise the excluded-row path).
-func newFixture(t *testing.T, n, k int, seed int64) *fixture {
+func newFixture(t testing.TB, n, k int, seed int64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.CapUniform(graph.GNPSparse(n, 4/float64(n), rng), 1000, rng)
@@ -87,7 +87,7 @@ func newFixture(t *testing.T, n, k int, seed int64) *fixture {
 	return fx
 }
 
-func (fx *fixture) engine(t *testing.T, p int) *Engine {
+func (fx *fixture) engine(t testing.TB, p int) *Engine {
 	t.Helper()
 	e, err := NewEngine(fx.g, fx.trees, fx.scale, p)
 	if err != nil {
@@ -127,7 +127,7 @@ func poisonMirrors(e *Engine) {
 	}
 }
 
-func sameF64(t *testing.T, what string, got, want float64) {
+func sameF64(t testing.TB, what string, got, want float64) {
 	t.Helper()
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("%s: got %v (%#x), want %v (%#x)", what, got,
@@ -135,7 +135,7 @@ func sameF64(t *testing.T, what string, got, want float64) {
 	}
 }
 
-func sameVec(t *testing.T, what string, got, want []float64) {
+func sameVec(t testing.TB, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
@@ -529,8 +529,8 @@ func TestOneChunkRunsInline(t *testing.T) {
 
 // TestCostAccounting pins the exchange protocol: the exact rounds,
 // messages and bytes of every operator at P ∈ {1, 2, 4, 8} on one
-// fixture (5000 vertices in three chunks, ~10⁴ edges in five, three
-// trees, so P ≥ 4 leaves shards without vertices). The schedules are
+// fixture (5000 vertices in three chunks, ~1.5·10⁴ edges in eight,
+// three trees, so P ≥ 4 leaves shards without vertices). The schedules are
 // static, so a second run must bill the same; a change to who ships
 // what to whom changes these numbers.
 func TestCostAccounting(t *testing.T) {

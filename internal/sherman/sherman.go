@@ -272,6 +272,12 @@ func (s *Solver) stTree() (*stRouter, error) {
 	return s.st, s.stErr
 }
 
+// convergecastRounds is the charge of one pipelined convergecast over a
+// BFS tree, D + ⌈√n⌉ rounds.
+func (s *Solver) convergecastRounds() int64 {
+	return int64(s.diameter()) + int64(math.Ceil(math.Sqrt(float64(s.g.N()))))
+}
+
 // diameter returns the graph's approximate hop diameter, measured on
 // first use: a Solver's graph never changes (epochs fork before they
 // write), so two BFS passes serve every query.
@@ -357,6 +363,11 @@ func (s *Solver) eval(ws *workspace, f, bs []float64, alpha float64) (phi, delta
 type stepState struct {
 	eta   float64
 	alpha float64
+	// pi, when non-nil, receives the vertex potential π = Rᵀ∇smax at
+	// the last accepted iterate of each converged descent, so after an
+	// AlmostRoute call it holds the finest level's: the dual that
+	// MaxFlowCtx's certificate sweep ranks vertices by.
+	pi []float64
 }
 
 // AlmostRoute runs Algorithm 2 for the demand b with accuracy eps. The
@@ -647,6 +658,11 @@ func (s *Solver) almostRouteFixedAlpha(ctx context.Context, b []float64, eps, al
 				}
 			})
 			st.eta = eta
+			if st.pi != nil {
+				// The last evaluation ran at f (the scaling loop's, or the
+				// accepted probe's), so ws.pi is f's potential.
+				copy(st.pi, ws.pi)
+			}
 			return &RouteResult{Flow: out, Iterations: iters, Restarts: restarts, AlphaUsed: alpha}, nil
 		}
 		edges := g.Edges()
@@ -751,12 +767,14 @@ type FlowResult struct {
 	Outer int
 	// AlphaUsed is the largest α any AlmostRoute call settled on.
 	AlphaUsed float64
-	// Escalations counts quality escalations: full re-solves at a 4×
-	// boosted α after the measured residual certificate failed at the
-	// end of the outer loop — the congestion approximator was weaker
-	// than the working α assumed (possible after aggressive topology
-	// churn, or for an unlucky tree sample), so the descent "converged"
-	// while leaving real residual behind. 0 on healthy queries.
+	// Escalations counts quality escalations: attempts at a 4× boosted
+	// α, each warm-started from the flow of the attempt before it, made
+	// after an attempt stalled or ran out of outer rounds with neither
+	// its residual test nor an s-t cut certificate met — the congestion
+	// approximator was weaker than the working α assumed (possible
+	// after aggressive topology churn, or for an unlucky tree sample),
+	// so the descent "converged" while leaving real residual behind. 0
+	// on healthy queries.
 	Escalations int
 	// Degraded reports a best-effort answer: the context's deadline
 	// expired before the outer loop met its residual certificate, so the
@@ -766,13 +784,17 @@ type FlowResult struct {
 	// (1+ε) optimality guarantee, replaced by the measured CertBound.
 	Degraded bool
 	// CertBound is the measured quality certificate of this answer:
-	// Value ≥ OPT/CertBound, from the cut bound ‖Rb‖∞ ≤ congestion of
-	// any routing of b (true cut rows under the default exact-cut
-	// scaling), so OPT ≤ 1/‖Rb‖∞ while Value = 1/cong(total) — giving
-	// OPT/Value ≤ cong(total)/‖Rb‖∞ = CertBound. Healthy queries sit at
-	// ≈ 1+ε; degraded answers report however far the iterate got. Under
-	// Config-level PaperScaling the rows are virtual-capacity scaled and
-	// the bound is an estimate, not a certificate.
+	// Value ≥ OPT/CertBound. Value = 1/cong(total) and every s-t cut of
+	// capacity C bounds OPT ≤ C, so CertBound = cong(total)·C for the
+	// smallest s-t cut the solve knows: the smallest separating tree
+	// cut 1/‖Rb‖∞ when the approximator's rows are exact cuts, and the
+	// smaller of that and the swept cut when a certificate sweep ran
+	// (DESIGN.md §5). Answers the certificate stopped sit at
+	// ≤ 1 + ε/50; degraded answers report however far the iterate got.
+	// Under virtual row scaling (PaperScaling) 1/‖Rb‖∞ is no cut:
+	// CertBound is the swept cut's bound when a sweep ran, and
+	// cong(total)/‖Rb‖∞, an estimate rather than a certificate, when
+	// none did.
 	CertBound float64
 	// Ledger holds the charged rounds for the flow computation phases
 	// (approximator construction is ledgered separately in capprox).
@@ -780,7 +802,8 @@ type FlowResult struct {
 }
 
 // MaxFlow runs Algorithm 1 for the s-t pair: route the unit s-t demand
-// near-optimally, drive the residual down over AlmostRoute calls, route
+// near-optimally, drive the residual down over AlmostRoute calls until
+// the residual is negligible or an s-t cut certifies the answer, route
 // the leftovers exactly on a maximum-weight spanning tree, and rescale
 // the combined flow to feasibility. The value of the result is a
 // (1+ε)(1+o(1))-approximation of the maximum flow.
@@ -809,9 +832,9 @@ func (s *Solver) MaxFlowWarm(src, dst int, cfg Config, warm []float64) (*FlowRes
 // timing and must not be cached or compared bit-for-bit.
 //
 // A context that carries a deadline also caps quality escalations at
-// one (instead of 4): escalations restart the whole solve, and a caller
-// with a time budget prefers the current iterate over a from-scratch
-// retry it likely cannot afford.
+// one (instead of 4): each escalation is a further attempt at a
+// boosted α, and a caller with a time budget prefers the current
+// iterate over attempts it likely cannot afford.
 func (s *Solver) MaxFlowCtx(ctx context.Context, src, dst int, cfg Config, warm []float64) (*FlowResult, error) {
 	g := s.g
 	if src == dst || src < 0 || dst < 0 || src >= g.N() || dst >= g.N() {
@@ -869,24 +892,45 @@ func (s *Solver) MaxFlowCtx(ctx context.Context, src, dst int, cfg Config, warm 
 			fTree = nil
 		}
 	}
-	// Quality-escalation loop around Algorithm 1: run the outer
-	// AlmostRoute loop at the working α; if it exhausts its repetitions
-	// with the measured residual certificate still unmet, the
-	// approximator's real quality is worse than α assumed — the descent
-	// kept "converging" while R under-weighted the leftover residual —
-	// so the whole solve retries at 4× the α (the premature-convergence
-	// analogue of the stall-doubling restarts of ablation A2). Healthy
-	// queries never enter a second attempt.
+	// Quality-escalation loop around Algorithm 1 (DESIGN.md §5, §8).
+	// Each attempt runs the outer AlmostRoute loop at a working α, and a
+	// round ends it on one of three rules:
+	//   - the residual test: the tree-routed residual is negligible next
+	//     to the flow, so the answer is as good as the descent made it;
+	//   - the certificate: an s-t cut certifies the answer in hand,
+	//     OPT/Value ≤ 1 + ε/50;
+	//   - a stall: the round shrank cong(fTree)/cong(total) by less than
+	//     2× against the previous round, so further rounds at this α would
+	//     not reach either test.
+	// A stall (or running out of rounds) means the approximator's real
+	// quality is worse than α assumed — the descent kept "converging"
+	// while R under-weighted the leftover residual — so the next attempt
+	// runs at 4× the α (the premature-convergence analogue of the
+	// stall-doubling restarts of ablation A2), warm-started from the flow
+	// the failed attempt accumulated. Healthy queries never enter a
+	// second attempt.
 	const maxEscalations = 4
 	maxEsc := maxEscalations
 	if _, hasDeadline := ctx.Deadline(); hasDeadline {
 		maxEsc = 1
 	}
 	baseAlpha := resolveAlpha(cfg)
+	certTarget := 1 + eps/certSlack
+	// cut is the smallest s-t cut capacity the solve knows, an upper
+	// bound on OPT: under exact-cut rows 1/norm0 is the smallest tree cut
+	// separating s from t, and every sweep can lower it, whichever
+	// attempt's π it ranks by.
+	cut := math.Inf(1)
+	if s.apx.ExactRows() {
+		cut = 1 / norm0
+	}
+	var next []float64
 	degraded := false
 	for attempt := 0; !skip; attempt++ {
-		st := &stepState{eta: 1, alpha: baseAlpha * math.Pow(4, float64(attempt))}
-		certMet := false
+		pi := make([]float64, g.N())
+		st := &stepState{eta: 1, alpha: baseAlpha * math.Pow(4, float64(attempt)), pi: pi}
+		certMet, swept := false, false
+		prevShrink := 0.0
 		//distflow:poll Algorithm-1 outer iterations poll before each almostRoute level
 		for i := 0; i < outer; i++ {
 			if deg, cerr := ctxStatus(ctx); cerr != nil {
@@ -896,12 +940,13 @@ func (s *Solver) MaxFlowCtx(ctx context.Context, src, dst int, cfg Config, warm 
 				break
 			}
 			epsI := 0.5
+			var w []float64
 			if i == 0 {
 				epsI = eps
-			}
-			var w []float64
-			if i == 0 && attempt == 0 {
-				w = warm
+				w = next
+				if attempt == 0 {
+					w = warm
+				}
 			}
 			rr, err := s.almostRoute(ctx, resid, epsI, cfg, ledger, w, st)
 			if err != nil {
@@ -910,6 +955,9 @@ func (s *Solver) MaxFlowCtx(ctx context.Context, src, dst int, cfg Config, warm 
 				}
 				return nil, fmt.Errorf("sherman: outer %d: %w", i, err)
 			}
+			// Only the first call routes the s-t demand itself; later calls
+			// route residuals, whose potentials say nothing about s-t cuts.
+			st.pi = nil
 			res.Iterations += rr.Iterations
 			res.Restarts += rr.Restarts
 			if rr.AlphaUsed > res.AlphaUsed {
@@ -944,17 +992,36 @@ func (s *Solver) MaxFlowCtx(ctx context.Context, src, dst int, cfg Config, warm 
 			// over-solved by 2-3 outer rounds on typical instances
 			// (DESIGN.md §5).
 			fTree = tr.route(resid)
-			if g.MaxCongestion(fTree) <= 0.01*eps*g.MaxCongestion(total) ||
+			congTree, congTotal := g.MaxCongestion(fTree), g.MaxCongestion(total)
+			if congTree <= 0.01*eps*congTotal ||
 				s.normRb(resid, ledger) <= norm0*1e-9 {
 				certMet = true
 				break
 			}
+			// Certificate stop: the answer returned now would be total +
+			// fTree. Try the tree cuts first; sweep this attempt's π only
+			// when the cuts known so far do not certify it.
+			cong := sumCongestion(g, total, fTree)
+			if cong*cut > certTarget && !swept {
+				swept = true
+				cut = math.Min(cut, s.certificateCut(pi, src, dst, ledger))
+			}
+			if cong*cut <= certTarget {
+				certMet = true
+				break
+			}
+			shrink := congTree / congTotal
+			if i > 0 && shrink > prevShrink/2 {
+				break
+			}
+			prevShrink = shrink
 		}
 		if certMet || degraded || attempt >= maxEsc {
 			break
 		}
-		// Escalate: restart the solve from zero at a boosted α.
+		// Escalate: the next attempt starts from the flow in hand.
 		res.Escalations++
+		next = append(next[:0], total...)
 		par.For(len(total), func(lo, hi int) {
 			for e := lo; e < hi; e++ {
 				total[e] = 0
@@ -972,8 +1039,7 @@ func (s *Solver) MaxFlowCtx(ctx context.Context, src, dst int, cfg Config, warm 
 	for e := range total {
 		total[e] += fTree[e]
 	}
-	sq := int64(math.Ceil(math.Sqrt(float64(g.N()))))
-	ledger.ChargeAccounted("residual-tree-routing", int64(s.diameter())+sq)
+	ledger.ChargeAccounted("residual-tree-routing", s.convergecastRounds())
 
 	cong := g.MaxCongestion(total)
 	if cong == 0 {
@@ -982,7 +1048,9 @@ func (s *Solver) MaxFlowCtx(ctx context.Context, src, dst int, cfg Config, warm 
 	res.Congestion = cong
 	res.Value = 1 / cong
 	res.Degraded = degraded
-	if norm0 > 0 {
+	res.CertBound = cong * cut
+	if math.IsInf(cut, 1) {
+		// Virtual row scaling and no sweep: 1/norm0 only estimates a cut.
 		res.CertBound = cong / norm0
 	}
 	res.Flow = make([]float64, g.M())

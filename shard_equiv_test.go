@@ -279,45 +279,51 @@ func TestShardedMultiChunkTraffic(t *testing.T) {
 // TestGridCorridorRounds pins the charged and measured rounds of
 // perfbench's grid-churn instance — the 16×16 grid with capacities drawn
 // from seed 3, on a 2-shard router — over its four corridors on the
-// initial epoch. The grid fits one chunk, so its engine runs one shard
-// on the caller; the values come from an engine that ran both shards as
-// goroutines, and the one-shard bill must match them.
+// initial epoch, with each corridor's escalations and a value within
+// 1% of the exact optimum. The grid fits one chunk, so its engine runs
+// one shard on the caller; the measured rounds come from an engine that
+// ran both shards as goroutines, and the one-shard bill must match them.
+//
+// Rows 128→143 and 8→248 stop where they always did; each also pays one
+// s-t cut sweep on a round that fails its residual test, the 46-round
+// certificate phase (D + ⌈√n⌉ = 30 + 16), so only their charged rounds
+// moved (596485 → 596531, 567636 → 567682). 0→255 now stops on its tree
+// cut certificate after the first round (662668 → 192570). 15→240 still
+// escalates once — its sweep finds the exact min cut (37), and the
+// first attempt's answer is 1.34× below it when its second round stalls
+// — but the attempt now ends there, and the escalated attempt starts
+// from its flow and stops on the swept cut (4820898 → 1983067).
 func TestGridCorridorRounds(t *testing.T) {
-	const side, mid = 16, 8
-	rng := rand.New(rand.NewSource(3))
-	g := NewGraph(side * side)
-	for y := 0; y < side; y++ {
-		for x := 0; x < side; x++ {
-			v := y*side + x
-			if x+1 < side {
-				g.AddEdge(v, v+1, 1+rng.Int63n(64))
-			}
-			if y+1 < side {
-				g.AddEdge(v, v+side, 1+rng.Int63n(64))
-			}
-		}
-	}
+	g, corridors := corridorGrid(16)
 	r, err := NewRouter(g, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for _, c := range []struct {
-		s, t                   int
+	for i, c := range []struct {
 		rounds, measuredRounds int64
+		escalations            int
 	}{
-		{mid * side, mid*side + side - 1, 596485, 22411},
-		{mid, (side-1)*side + mid, 567636, 21306},
-		{0, side*side - 1, 662668, 24946},
-		{side - 1, (side - 1) * side, 4820898, 184776},
+		{596531, 22411, 0},
+		{567682, 21306, 0},
+		{192570, 6912, 0},
+		{1983067, 75603, 1},
 	} {
-		res, err := r.MaxFlow(c.s, c.t)
+		s, tt := corridors[i][0], corridors[i][1]
+		res, err := r.MaxFlow(s, tt)
 		if err != nil {
-			t.Fatalf("%d→%d: %v", c.s, c.t, err)
+			t.Fatalf("%d→%d: %v", s, tt, err)
 		}
 		if res.Rounds != c.rounds || res.MeasuredRounds != c.measuredRounds {
 			t.Errorf("%d→%d: rounds %d (measured %d), want %d (%d)",
-				c.s, c.t, res.Rounds, res.MeasuredRounds, c.rounds, c.measuredRounds)
+				s, tt, res.Rounds, res.MeasuredRounds, c.rounds, c.measuredRounds)
+		}
+		if res.Escalations != c.escalations {
+			t.Errorf("%d→%d: %d escalations, want %d", s, tt, res.Escalations, c.escalations)
+		}
+		opt, _ := ExactMaxFlow(g, s, tt)
+		if res.Value < float64(opt)/1.01 {
+			t.Errorf("%d→%d: value %v below OPT %d / 1.01", s, tt, res.Value, opt)
 		}
 	}
 }
