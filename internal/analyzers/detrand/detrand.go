@@ -37,7 +37,7 @@ import (
 // apply only inside them (matched as import-path suffixes, so the
 // analysistest packages named after them are covered too).
 var criticalPkgs = []string{
-	"sherman", "capprox", "lsst", "jtree", "vtree", "par", "graph", "csr", "shard",
+	"sherman", "capprox", "lsst", "jtree", "vtree", "par", "graph", "csr", "shard", "numutil",
 }
 
 // globalRandAllowed lists the math/rand package-level functions that

@@ -28,6 +28,7 @@ import (
 	"distflow/internal/congest"
 	"distflow/internal/graph"
 	"distflow/internal/jtree"
+	"distflow/internal/numutil"
 	"distflow/internal/par"
 	"distflow/internal/sparsify"
 	"distflow/internal/vtree"
@@ -1019,21 +1020,16 @@ func RowScale(y, scale []float64, root int, ta float64, lo, hi int) float64 {
 
 // RowExp overwrites y[v] over [lo,hi) with the soft-max gradient
 // numerator e^{y−m} − e^{−y−m} (0 at the root) and returns the range's
-// shifted exponential sum. Zero-scale slots hold y = 0 and contribute
-// like every other non-root slot.
+// shifted exponential sum: numutil.SymExpSum on each side of the root.
+// Zero-scale slots hold y = 0 and contribute like every other non-root
+// slot.
 func RowExp(y []float64, root int, m float64, lo, hi int) float64 {
-	s := 0.0
-	for v := lo; v < hi; v++ {
-		if v == root {
-			y[v] = 0
-			continue
-		}
-		p := math.Exp(y[v] - m)
-		q := math.Exp(-y[v] - m)
-		s += p + q
-		y[v] = p - q
+	if root < lo || root >= hi {
+		return numutil.SymExpSum(y[lo:hi], y[lo:hi], m)
 	}
-	return s
+	y[root] = 0
+	s := numutil.SymExpSum(y[lo:root], y[lo:root], m)
+	return s + numutil.SymExpSum(y[root+1:hi], y[root+1:hi], m)
 }
 
 // FoldExpSums folds RowExp's partials, laid out tree by tree with

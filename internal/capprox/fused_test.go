@@ -134,3 +134,40 @@ func TestPotentialRTStability(t *testing.T) {
 		}
 	}
 }
+
+// RowExp is numutil.SymExpSum over a range minus the root, whose slot
+// it zeroes, and allocates nothing.
+func TestRowExpSkipsRoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(500))
+	y := make([]float64, 300)
+	for v := range y {
+		y[v] = 30 * rng.NormFloat64()
+	}
+	m := numutil.AbsMax(y)
+	for _, root := range []int{0, 40, 99, 100, 299} {
+		got := append([]float64(nil), y...)
+		s := RowExp(got, root, m, 40, 100)
+		want := append([]float64(nil), y...)
+		var wantS float64
+		for v := 40; v < 100; v++ {
+			if v != root {
+				wantS += numutil.SymExpSum(y[v:v+1], want[v:v+1], m)
+			}
+		}
+		if root >= 40 && root < 100 {
+			want[root] = 0
+		}
+		if math.Abs(s-wantS) > 1e-14*wantS {
+			t.Errorf("root %d: sum %v, want %v", root, s, wantS)
+		}
+		for v := range got {
+			if got[v] != want[v] {
+				t.Fatalf("root %d: y[%d] = %v, want %v", root, v, got[v], want[v])
+			}
+		}
+	}
+	buf := append([]float64(nil), y...)
+	if a := testing.AllocsPerRun(20, func() { RowExp(buf, 150, m, 0, len(buf)) }); a != 0 {
+		t.Errorf("RowExp: %v allocations per call, want 0", a)
+	}
+}

@@ -10,6 +10,11 @@
 // additive log(2k). Potentials in AlmostRoute are Θ(ε⁻¹ log n), so the raw
 // exponentials overflow float64 for small ε; every function here evaluates
 // in shifted form.
+//
+// The solver's soft-max slots, φ₁'s through ScaledExpSum and φ₂'s through
+// capprox.RowExp, all go through SymExpSum, which takes one table-driven
+// exponential per slot instead of two math.Exp calls. SoftMax,
+// SoftMaxGrad and LogSumExp stay on math.Exp as the tests' references.
 package numutil
 
 import (
@@ -115,20 +120,16 @@ func ScaledAbsMax(f, scale []float64, lo, hi int) float64 {
 
 // ScaledExpSum writes the gradient numerators grad_i = e^{y_i−m} −
 // e^{−y_i−m} of y_i = f_i·scale_i over [lo,hi) and returns the range's
-// shifted exponential sum Σ (e^{y_i−m} + e^{−y_i−m}).
+// shifted exponential sum Σ (e^{y_i−m} + e^{−y_i−m}): y goes into grad,
+// which SymExpSum then overwrites in place.
 func ScaledExpSum(f, scale, grad []float64, m float64, lo, hi int) float64 {
 	f = f[lo:hi]
 	scale = scale[lo:hi][:len(f)]
 	grad = grad[lo:hi][:len(f)]
-	s := 0.0
 	for i, x := range f {
-		y := x * scale[i]
-		p := math.Exp(y - m)
-		q := math.Exp(-y - m)
-		s += p + q
-		grad[i] = p - q
+		grad[i] = x * scale[i]
 	}
-	return s
+	return SymExpSum(grad, grad, m)
 }
 
 // ScaleRange multiplies x_i by c over [lo,hi): the gradient's 1/sum

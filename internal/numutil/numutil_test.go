@@ -255,3 +255,120 @@ func TestSoftMaxGradScaledParMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refSymExpSum is the two-math.Exp loop SymExpSum replaces.
+func refSymExpSum(y, out []float64, m float64) float64 {
+	s := 0.0
+	for i, v := range y {
+		p := math.Exp(v - m)
+		q := math.Exp(-v - m)
+		s += p + q
+		out[i] = p - q
+	}
+	return s
+}
+
+// expSum returns e^{a+b} without the rounding of a + b: math.Exp of the
+// rounded sum times 1 + its exact rounding error (TwoSum). Rounding
+// y − m first, as refSymExpSum does, costs up to (|y|+m)·2⁻⁵³ relative,
+// 5.7e-14 at m = 700, which would hide the kernel's own error.
+func expSum(a, b float64) float64 {
+	s := a + b
+	bv := s - a
+	lo := (a - (s - bv)) + (b - bv)
+	return math.Exp(s) * (1 + lo)
+}
+
+// symExpInput returns ±0, ±m, ±1e-300 and n draws from [−m, m].
+func symExpInput(rng *rand.Rand, m float64, n int) []float64 {
+	y := []float64{0, math.Copysign(0, -1), m, -m, 1e-300, -1e-300}
+	for i := 0; i < n; i++ {
+		y = append(y, (2*rng.Float64()-1)*m)
+	}
+	return y
+}
+
+// SymExpSum must hold every slot within 1e-15·(p + q) of p − q, where
+// p = e^{y−m} and q = e^{−y−m} are taken of the exact exponents, and its
+// sum within 1e-14 relative, on both sides of the m > 708 switch; be
+// exactly zero at y = ±0 and carry the sign of y wherever the reference
+// is nonzero, with out aliasing y or not. Under the relative bound sits
+// an absolute floor: 16 units of a subnormal's last place for m ≤ 708,
+// where q may be subnormal, and e^{−708} for m > 708, under which the
+// kernel drops q and flushes p to zero.
+func TestSymExpSumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, m := range []float64{0.5, 30, 240, 700, 708.5, 800, 1e8} {
+		floor := 0x1p-1070
+		if m > 708 {
+			floor = math.Exp(-708)
+		}
+		y := symExpInput(rng, m, 20000)
+		out := make([]float64, len(y))
+		sum := SymExpSum(y, out, m)
+		refSum := 0.0
+		for i, v := range y {
+			p, q := expSum(v, -m), expSum(-v, -m)
+			refSum += p + q
+			o, ref := out[i], p-q
+			switch {
+			case math.IsNaN(o) || math.IsInf(o, 0) || math.Abs(o-ref) > 1e-15*(p+q)+floor:
+				t.Errorf("m=%g y=%v: out %v, reference %v", m, v, o, ref)
+			case v == 0 && o != 0:
+				t.Errorf("m=%g y=%v: out %v, want 0", m, v, o)
+			case ref != 0 && math.Signbit(o) != math.Signbit(v):
+				t.Errorf("m=%g y=%v: out %v has the wrong sign", m, v, o)
+			case m > 708 && math.Abs(v) < m-708 && o != 0:
+				t.Errorf("m=%g y=%v: out %v, want it flushed to 0", m, v, o)
+			}
+		}
+		if math.IsNaN(sum) || math.IsInf(sum, 0) || math.Abs(sum-refSum) > 1e-14*refSum {
+			t.Errorf("m=%g: sum %v, reference %v", m, sum, refSum)
+		}
+		alias := append([]float64(nil), y...)
+		if s := SymExpSum(alias, alias, m); s != sum {
+			t.Errorf("m=%g: aliased sum %v, want %v", m, s, sum)
+		}
+		for i := range alias {
+			if math.Float64bits(alias[i]) != math.Float64bits(out[i]) {
+				t.Fatalf("m=%g: aliased out[%d] = %v, want %v", m, i, alias[i], out[i])
+			}
+		}
+	}
+}
+
+// The soft-max kernels write into their callers' buffers and allocate
+// nothing.
+func TestScaledExpSumAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	f, scale, grad := make([]float64, 4096), make([]float64, 4096), make([]float64, 4096)
+	for i := range f {
+		f[i], scale[i] = rng.NormFloat64()*20, rng.Float64()+0.01
+	}
+	m := ScaledAbsMax(f, scale, 0, len(f))
+	if a := testing.AllocsPerRun(20, func() { ScaledExpSum(f, scale, grad, m, 100, 4000) }); a != 0 {
+		t.Errorf("ScaledExpSum: %v allocations per call, want 0", a)
+	}
+}
+
+// BenchmarkSymExpSum and BenchmarkSymExpSumReference time one kernel
+// call over 32,768 slots at m = 240; ns/op divided by 32,768 is the
+// per-slot cost of each.
+func BenchmarkSymExpSum(b *testing.B)          { benchSymExp(b, SymExpSum) }
+func BenchmarkSymExpSumReference(b *testing.B) { benchSymExp(b, refSymExpSum) }
+
+var benchSymExpSink float64
+
+func benchSymExp(b *testing.B, kernel func(y, out []float64, m float64) float64) {
+	const m = 240
+	rng := rand.New(rand.NewSource(31))
+	y := make([]float64, 1<<15)
+	for i := range y {
+		y[i] = (2*rng.Float64() - 1) * m
+	}
+	out := make([]float64, len(y))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSymExpSink += kernel(y, out, m)
+	}
+}

@@ -457,7 +457,11 @@ func settledGoroutines() int {
 // whose vertices and edges each fit one chunk. They run one shard on the
 // caller's goroutine: no goroutine is started or left behind, every
 // operator matches the flat kernels bit for bit, and each bill has no
-// messages or bytes and the rounds of an engine built at P = 1.
+// messages or bytes and the rounds of an engine built at P = 1. An
+// engine can only start goroutines, so the checks fail on a count above
+// the one before construction; a goroutine of an earlier test that
+// exits meanwhile, late on a loaded machine, lowers the count and must
+// not fail them.
 func TestOneChunkRunsInline(t *testing.T) {
 	fx := newFixture(t, 150, 2, 13)
 	n, m := fx.g.N(), fx.g.M()
@@ -512,11 +516,11 @@ func TestOneChunkRunsInline(t *testing.T) {
 			t.Fatalf("P=%d: engine runs %d shards on one chunk, want 1", p, e.Shards())
 		}
 		got := run(e)
-		if g := settledGoroutines(); g != before {
+		if g := settledGoroutines(); g > before {
 			t.Errorf("P=%d: %d goroutines after the operators, %d before construction", p, g, before)
 		}
 		e.Close()
-		if g := settledGoroutines(); g != before {
+		if g := settledGoroutines(); g > before {
 			t.Errorf("P=%d: %d goroutines after Close, %d before construction", p, g, before)
 		}
 		for i, c := range got {

@@ -293,6 +293,12 @@ func TestShardedMultiChunkTraffic(t *testing.T) {
 // first attempt's answer is 1.34× below it when its second round stalls
 // — but the attempt now ends there, and the escalated attempt starts
 // from its flow and stops on the swept cut (4820898 → 1983067).
+//
+// The soft-max kernels' one-exponential form (numutil.SymExpSum) moves
+// the gradients in their last ulps, which moves the descent's path:
+// 128→143 now stops after more evaluations (596531 → 630471 charged,
+// 22411 → 23711 measured) and 8→248 likewise (567682 → 572773, 21306 →
+// 21501); 0→255 and 15→240 stop where they did.
 func TestGridCorridorRounds(t *testing.T) {
 	g, corridors := corridorGrid(16)
 	r, err := NewRouter(g, Options{Shards: 2})
@@ -304,8 +310,8 @@ func TestGridCorridorRounds(t *testing.T) {
 		rounds, measuredRounds int64
 		escalations            int
 	}{
-		{596531, 22411, 0},
-		{567682, 21306, 0},
+		{630471, 23711, 0},
+		{572773, 21501, 0},
 		{192570, 6912, 0},
 		{1983067, 75603, 1},
 	} {
