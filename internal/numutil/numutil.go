@@ -173,18 +173,6 @@ func AbsMax(y []float64) float64 {
 	return m
 }
 
-// Sgn returns -1, 0, or 1 according to the sign of x.
-func Sgn(x float64) float64 {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	default:
-		return 0
-	}
-}
-
 // CeilLog2 returns ⌈log₂ x⌉ for x ≥ 1, and 0 for x ≤ 1.
 func CeilLog2(x int64) int {
 	if x <= 1 {

@@ -166,18 +166,6 @@ func TestLogSumExp(t *testing.T) {
 	}
 }
 
-func TestSgn(t *testing.T) {
-	tests := []struct {
-		in   float64
-		want float64
-	}{{1.5, 1}, {-2, -1}, {0, 0}, {math.Copysign(0, -1), 0}}
-	for _, tc := range tests {
-		if got := Sgn(tc.in); got != tc.want {
-			t.Errorf("Sgn(%v) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestCeilLog2(t *testing.T) {
 	tests := []struct {
 		in   int64

@@ -14,6 +14,14 @@
 //     the caller, and the caller always participates, so a For/Sum call
 //     makes progress even when every pool worker is busy (nested
 //     parallelism cannot deadlock).
+//   - Hand-offs stay warm between regions. A solve is a chain of short
+//     regions, and waking a parked worker costs tens of microseconds, so
+//     a worker that finishes a task polls for the next one before it
+//     parks, and a caller polls its region's unfinished chunks before it
+//     blocks. Both give up after pollBound polls, a count rather than a
+//     time (the package reads no clock). At most GOMAXPROCS−1 workers
+//     poll at once, so with one CPU nothing polls and every hand-off
+//     parks and wakes.
 //   - Small inputs (below one chunk) never touch the pool: the
 //     GOMAXPROCS-aware sequential fallback keeps tiny graphs free of
 //     scheduling overhead.
@@ -37,12 +45,19 @@ const (
 	maxChunks = 256
 	// maxPoolWorkers caps the lazily started pool goroutines.
 	maxPoolWorkers = 64
+	// pollBound is how many polls a worker spends looking for its next
+	// task, and a caller waiting for its region's last chunks, before
+	// parking (DESIGN.md §4 records the sweep that chose it).
+	pollBound = 1 << 14
+	// pollYield is how often a poller lets other goroutines on its P run.
+	pollYield = 1 << 10
 )
 
 var (
 	width   atomic.Int64 // logical parallelism degree
 	running atomic.Int64 // started pool goroutines
-	tasks   = make(chan func(), 4*maxPoolWorkers)
+	polling atomic.Int64 // pool goroutines polling for their next task
+	tasks   = make(chan *region, 4*maxPoolWorkers)
 )
 
 func init() {
@@ -93,21 +108,75 @@ func ensureWorkers(n int) {
 			return
 		}
 		if running.CompareAndSwap(cur, cur+1) {
-			go func() {
-				for f := range tasks {
-					f()
-				}
-			}()
+			go worker()
 		}
 	}
 }
 
-// submit offers f to the pool without blocking. When the queue is full
+// worker is a pool goroutine: it parks on tasks, and after each task
+// polls for the next one before it parks again.
+func worker() {
+	for r := range tasks {
+		for r != nil {
+			r.run()
+			r = poll()
+		}
+	}
+}
+
+// poll looks for a worker's next task without parking. It returns nil
+// at once when GOMAXPROCS−1 workers poll already, and nil when
+// pollBound polls found nothing.
+func poll() *region {
+	procs := runtime.GOMAXPROCS(0)
+	for {
+		cur := polling.Load()
+		if cur >= int64(procs-1) {
+			return nil
+		}
+		if polling.CompareAndSwap(cur, cur+1) {
+			break
+		}
+	}
+	defer polling.Add(-1)
+	var r *region
+	spin(procs, func() bool {
+		select {
+		case r = <-tasks:
+			return true
+		default:
+			return false
+		}
+	})
+	return r
+}
+
+// spin calls ready until it reports true, at most pollBound times,
+// yielding the P every pollYield calls, and reports whether ready
+// did. procs is GOMAXPROCS as the caller read it: with one CPU a poll
+// could only delay the goroutine it waits for, so spin then returns
+// false without calling ready.
+func spin(procs int, ready func() bool) bool {
+	if procs <= 1 {
+		return false
+	}
+	for i := 1; i <= pollBound; i++ {
+		if ready() {
+			return true
+		}
+		if i%pollYield == 0 {
+			runtime.Gosched()
+		}
+	}
+	return false
+}
+
+// submit offers r to the pool without blocking. When the queue is full
 // the offer is dropped — the caller participates in every parallel
 // region, so dropped helpers cost parallelism, never correctness.
-func submit(f func()) {
+func submit(r *region) {
 	select {
-	case tasks <- f:
+	case tasks <- r:
 	default:
 	}
 }
@@ -118,6 +187,51 @@ func submit(f func()) {
 type chunkPanic struct {
 	val   any
 	stack []byte
+}
+
+// region is one parallel call's bookkeeping, in one allocation. Chunks
+// are claimed from next; left counts the unfinished ones for a polling
+// caller, and done for a parked one.
+type region struct {
+	n, size, count int
+	fn             func(i, lo, hi int)
+	next           atomic.Int64
+	left           atomic.Int64
+	done           sync.WaitGroup
+	panicked       atomic.Pointer[chunkPanic]
+}
+
+// run claims and runs chunks of r until none is left to claim.
+func (r *region) run() {
+	for {
+		i := int(r.next.Add(1) - 1)
+		if i >= r.count {
+			return
+		}
+		lo := i * r.size
+		hi := lo + r.size
+		if hi > r.n {
+			hi = r.n
+		}
+		r.chunk(i, lo, hi)
+	}
+}
+
+// chunk runs chunk i, recording rather than raising its panic.
+func (r *region) chunk(i, lo, hi int) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.panicked.CompareAndSwap(nil, &chunkPanic{val: p, stack: debug.Stack()})
+		}
+		r.done.Done()
+		r.left.Add(-1)
+	}()
+	// After a panic the remaining chunks only drain the ticket counter
+	// (their results are about to be thrown away by the re-panic), so
+	// the region ends promptly.
+	if r.panicked.Load() == nil {
+		r.fn(i, lo, hi)
+	}
 }
 
 // runChunked executes fn(i, lo, hi) for every chunk i of [0,n), using up
@@ -147,45 +261,19 @@ func runChunked(n, size, count int, fn func(i, lo, hi int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var done sync.WaitGroup
-	var panicked atomic.Pointer[chunkPanic]
-	done.Add(count)
-	run := func() {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= count {
-				return
-			}
-			lo := i * size
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			func() {
-				defer func() {
-					if p := recover(); p != nil {
-						panicked.CompareAndSwap(nil, &chunkPanic{val: p, stack: debug.Stack()})
-					}
-					done.Done()
-				}()
-				// After a panic the remaining chunks only drain the
-				// ticket counter (their results are about to be thrown
-				// away by the re-panic), so the region ends promptly.
-				if panicked.Load() == nil {
-					fn(i, lo, hi)
-				}
-			}()
-		}
-	}
+	r := &region{n: n, size: size, count: count, fn: fn}
+	r.left.Store(int64(count))
+	r.done.Add(count)
 	helpers := w - 1
 	ensureWorkers(helpers)
 	for i := 0; i < helpers; i++ {
-		submit(run)
+		submit(r)
 	}
-	run()
-	done.Wait()
-	if p := panicked.Load(); p != nil {
+	r.run()
+	if !spin(runtime.GOMAXPROCS(0), func() bool { return r.left.Load() == 0 }) {
+		r.done.Wait()
+	}
+	if p := r.panicked.Load(); p != nil {
 		panic(p.val)
 	}
 }

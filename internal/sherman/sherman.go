@@ -666,11 +666,7 @@ func (s *Solver) almostRouteFixedAlpha(ctx context.Context, b []float64, eps, al
 			return &RouteResult{Flow: out, Iterations: iters, Restarts: restarts, AlphaUsed: alpha}, nil
 		}
 		edges := g.Edges()
-		par.For(len(edges), func(lo, hi int) {
-			for e := lo; e < hi; e++ {
-				stepVec[e] = numutil.Sgn(ws.grad[e]) * float64(edges[e].Cap) * delta * step
-			}
-		})
+		par.For(len(edges), func(lo, hi int) { signStep(stepVec, ws.grad, edges, delta, step, lo, hi) })
 		//distflow:poll backtracking probes are full potential evaluations
 		for {
 			// Backtracking probes are full potential evaluations too —
@@ -1168,4 +1164,20 @@ func RouteOnMaxWeightST(g *graph.Graph, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return tr.route(b), nil
+}
+
+// signStep writes Sherman's step over edges [lo,hi): out[e] =
+// sgn(grad[e])·cap_e·delta·step. Copysign sets the sign without a
+// branch on it (random gradient signs defeat branch prediction), and
+// it is exact, since rounding to nearest is symmetric in sign. A zero
+// or NaN gradient moves its edge by zero.
+func signStep(out, grad []float64, edges []graph.Edge, delta, step float64, lo, hi int) {
+	for e := lo; e < hi; e++ {
+		g := grad[e]
+		if g == 0 || g != g {
+			out[e] = 0
+			continue
+		}
+		out[e] = math.Copysign(float64(edges[e].Cap)*delta*step, g)
+	}
 }
